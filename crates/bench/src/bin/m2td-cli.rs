@@ -583,8 +583,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// `dist`: one resumable sharded D-M2TD run over a job directory.
 fn run_dist(args: &Args) -> Result<u8, String> {
     use m2td_dist::{
-        d_m2td_resumable, CheckpointStore, DlqStore, FaultConfig, JobRecovery, ManifestStore,
-        MapReduce, Phase3Strategy, TransportKind,
+        CheckpointStore, DistJob, DlqStore, FaultConfig, JobRecovery, ManifestStore, MapReduce,
+        TransportKind,
     };
     use m2td_fault::{FaultPlan, RetryPolicy};
     use m2td_json::ToJson;
@@ -663,21 +663,15 @@ fn run_dist(args: &Args) -> Result<u8, String> {
     eprintln!(
         "dist: {p_dim}x{f_dim} inputs, ranks {ranks:?}, {workers} workers, {transport:?} transport"
     );
-    let report = d_m2td_resumable(
-        &x1,
-        &x2,
-        1,
-        &ranks,
-        M2tdOptions::default(),
-        &engine,
-        Phase3Strategy::ChunkPartition,
-        &faults,
-        Some(&checkpoint),
-        &recovery,
-    )
+    let d = DistJob {
+        faults,
+        checkpoint: Some(&checkpoint),
+        recovery: Some(recovery),
+        ..DistJob::new(&x1, &x2, 1, &ranks)
+    }
+    .run(&engine)
     .map_err(|e| e.to_string())?;
 
-    let d = &report.dist;
     let mut hashed = d.tucker.core.to_json().to_compact();
     for f in &d.tucker.factors {
         hashed.push_str(&f.to_json().to_compact());
@@ -691,14 +685,14 @@ fn run_dist(args: &Args) -> Result<u8, String> {
     );
     println!(
         "resume: {} tasks replayed from manifest, {} dead-letter entries drained",
-        report.resumed_tasks, report.drained,
+        d.resumed_tasks, d.drained,
     );
     println!("core fnv64: {:016x}", fnv1a64(hashed.as_bytes()));
-    if report.degraded {
+    if d.degraded {
         println!(
             "DEGRADED: phase-3 tasks {:?} are parked in the dead-letter queue; \
              requeue with `m2td-cli dlq requeue --dir {dir}` and rerun",
-            report.dead_tasks,
+            d.dead_tasks,
         );
         return Ok(4);
     }

@@ -171,7 +171,7 @@ pub fn m2td_decompose(
     // side computes the same grams in the same order as the serial loop,
     // so results are bitwise unchanged.
     //
-    // Span labels are shared with `m2td_dist::d_m2td*`: the phases
+    // Span labels are shared with `m2td_dist::DistJob::run`: the phases
     // correspond one-to-one, so telemetry consumers see one taxonomy.
     let span1 = m2td_obs::span!("phase1.decompose");
     let t1 = Instant::now();

@@ -307,6 +307,9 @@ mod tests {
         store.park(entry(1)).unwrap();
         std::fs::write(dir.join(DlqStore::FILE_NAME), "{torn").unwrap();
         assert_eq!(DlqStore::open(&dir).depth(), 0);
+        // Hostile nesting is rejected by the parser, not the stack.
+        std::fs::write(dir.join(DlqStore::FILE_NAME), "[".repeat(100_000)).unwrap();
+        assert_eq!(DlqStore::open(&dir).depth(), 0);
         // A checksum-valid but version-stale record is also rejected.
         let doc = seal_record(&Json::Null, vec![entry(1)].to_json());
         let stale = doc

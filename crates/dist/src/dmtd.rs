@@ -13,25 +13,25 @@
 //!   its cells (TTM is linear in the tensor, so partial cores sum to the
 //!   exact core).
 //!
+//! A [`DistJob`] carries the inputs plus every execution setting; its
+//! defaults are the fault-free run.
+//!
 //! ## Fault tolerance
 //!
-//! [`d_m2td_fault_tolerant`] executes the same dataflow under a seeded
-//! [`FaultConfig`]: task kills are retried with deterministic virtual
-//! backoff, stragglers are rescued by speculative re-execution, and each
-//! completed phase boundary can be persisted to a
-//! [`CheckpointStore`](crate::CheckpointStore) so a later run over the
-//! same inputs resumes from the first incomplete phase. Because every
-//! task is pure, any fault schedule that eventually succeeds produces
-//! factors and a core **bitwise identical** to the fault-free run at every
-//! `M2TD_THREADS` setting; `tests/fault_determinism.rs` pins this.
+//! With a seeded [`FaultConfig`], task kills are retried with
+//! deterministic virtual backoff, stragglers are rescued by speculative
+//! re-execution, and each completed phase boundary can be persisted to a
+//! [`CheckpointStore`] so a later run over the same inputs resumes from
+//! the first incomplete phase. Because every task is pure, any fault
+//! schedule that eventually succeeds produces factors and a core
+//! **bitwise identical** to the fault-free run at every `M2TD_THREADS`
+//! setting; `tests/fault_determinism.rs` pins this.
 
 use crate::checkpoint::{CheckpointStore, Fingerprint};
 use crate::cluster::{ClusterModel, PhaseCost};
 use crate::dlq::{DlqEntry, DlqStore};
 use crate::manifest::{JobManifest, ManifestStore};
-use crate::mapreduce::{
-    MapReduce, ShardedOutput, ShardedRun, ShuffleStats, TaskState, WaveRecovery,
-};
+use crate::mapreduce::{JobOutput, JobSpec, MapReduce, ShuffleStats, TaskState, WaveRecovery};
 use crate::scheduler::DeadTask;
 use crate::transport::TaskEnvelope;
 use m2td_core::{projection_factors, CoreError, M2tdOptions};
@@ -226,25 +226,6 @@ impl<'a> JobRecovery<'a> {
     }
 }
 
-/// What [`d_m2td_resumable`] did beyond the decomposition itself.
-#[derive(Debug)]
-pub struct ResumeReport {
-    /// The (possibly degraded) decomposition.
-    pub dist: DistDecomposition,
-    /// Phase-3 reduce tasks missing from the core — parked in the
-    /// dead-letter queue (this run or a previous one) and not drained.
-    pub dead_tasks: Vec<u64>,
-    /// Reduce tasks replayed from manifest-recorded outputs instead of
-    /// re-running, across all phases.
-    pub resumed_tasks: usize,
-    /// Dead-letter entries drained by this run (requeued tasks that
-    /// completed).
-    pub drained: usize,
-    /// True when the core is missing at least one partial (coverage was
-    /// above the floor but below 1).
-    pub degraded: bool,
-}
-
 /// Shared mutable state of one resumable run.
 struct ResumeState {
     manifest: Mutex<JobManifest>,
@@ -331,7 +312,7 @@ impl WaveRecovery for PhaseRecovery<'_> {
 /// Fails unless every reduce task of the phase survived: a corpse parked
 /// this run surfaces its terminal fault; one inherited from a previous
 /// run (and not requeued) points the operator at the DLQ workflow.
-fn require_full_coverage<R>(phase: u8, out: &ShardedOutput<R>) -> Result<(), DistError> {
+fn require_full_coverage<R>(phase: u8, out: &JobOutput<R>) -> Result<(), DistError> {
     if let Some(d) = out.dead.first() {
         return Err(DistError::Exhausted(d.error.clone()));
     }
@@ -407,6 +388,18 @@ pub struct DistDecomposition {
     pub phase2: PhaseStats,
     /// Phase 3 statistics (parallel core recovery).
     pub phase3: PhaseStats,
+    /// Phase-3 reduce tasks missing from the core — parked in the
+    /// dead-letter queue (this run or a previous one) and not drained.
+    pub dead_tasks: Vec<u64>,
+    /// Reduce tasks replayed from manifest-recorded outputs instead of
+    /// re-running, across all phases.
+    pub resumed_tasks: usize,
+    /// Dead-letter entries drained by this run (requeued tasks that
+    /// completed).
+    pub drained: usize,
+    /// True when the core is missing at least one partial (coverage was
+    /// above the floor but below 1).
+    pub degraded: bool,
 }
 
 impl DistDecomposition {
@@ -434,14 +427,9 @@ pub enum Phase3Strategy {
     ModeShuffle,
 }
 
-/// Runs D-M2TD over two PF-partitioned sub-tensors.
-///
-/// Semantics (inputs, `k`, join-order `ranks`, options) match
-/// [`m2td_core::m2td_decompose`]; the result agrees with the serial
-/// implementation up to floating-point accumulation order. Phase 3 uses
-/// the [`Phase3Strategy::ChunkPartition`] dataflow; use
-/// [`d_m2td_with_phase3`] to select the paper's per-mode shuffle instead,
-/// or [`d_m2td_fault_tolerant`] to run under a failure model.
+/// Runs fault-free D-M2TD over two PF-partitioned sub-tensors with the
+/// [`Phase3Strategy::ChunkPartition`] dataflow: [`DistJob::new`] with
+/// `opts`, run on `engine`.
 pub fn d_m2td(
     x1: &SparseTensor,
     x2: &SparseTensor,
@@ -450,578 +438,543 @@ pub fn d_m2td(
     opts: M2tdOptions,
     engine: &MapReduce,
 ) -> Result<DistDecomposition, DistError> {
-    d_m2td_with_phase3(
-        x1,
-        x2,
-        k,
-        ranks,
+    DistJob {
         opts,
-        engine,
-        Phase3Strategy::ChunkPartition,
-    )
-}
-
-/// [`d_m2td`] with an explicit Phase-3 dataflow.
-pub fn d_m2td_with_phase3(
-    x1: &SparseTensor,
-    x2: &SparseTensor,
-    k: usize,
-    ranks: &[usize],
-    opts: M2tdOptions,
-    engine: &MapReduce,
-    phase3_strategy: Phase3Strategy,
-) -> Result<DistDecomposition, DistError> {
-    d_m2td_fault_tolerant(
-        x1,
-        x2,
-        k,
-        ranks,
-        opts,
-        engine,
-        phase3_strategy,
-        &FaultConfig::none(),
-        None,
-    )
-}
-
-/// [`d_m2td`] under a failure model, optionally with phase-boundary
-/// checkpointing.
-///
-/// With a [`CheckpointStore`], each completed phase persists its output
-/// (phase 1: combined factors; phase 2: join tensor), and a later call
-/// over the same inputs loads the stored artifacts instead of recomputing
-/// — so a run that died in phase 3 resumes from phases 1–2. Resumed
-/// phases report `resumed = true` and all-zero [`TaskCounters`].
-///
-/// The determinism invariant: because tasks are pure, any fault schedule
-/// that eventually succeeds (including one interrupted and resumed from
-/// checkpoints) yields factors and core bitwise identical to the
-/// fault-free run, at every thread count. A task killed on every allowed
-/// attempt surfaces [`DistError::Exhausted`].
-#[allow(clippy::too_many_arguments)]
-pub fn d_m2td_fault_tolerant(
-    x1: &SparseTensor,
-    x2: &SparseTensor,
-    k: usize,
-    ranks: &[usize],
-    opts: M2tdOptions,
-    engine: &MapReduce,
-    phase3_strategy: Phase3Strategy,
-    faults: &FaultConfig,
-    checkpoint: Option<&CheckpointStore>,
-) -> Result<DistDecomposition, DistError> {
-    d_m2td_run(
-        x1,
-        x2,
-        k,
-        ranks,
-        opts,
-        engine,
-        phase3_strategy,
-        faults,
-        checkpoint,
-        None,
-    )
-    .map(|(dist, _)| dist)
-}
-
-/// [`d_m2td_fault_tolerant`] with job-level resume and a dead-letter
-/// queue.
-///
-/// Beyond phase-boundary checkpoints, the run records every completed
-/// reduce task (with its serialized output) in a fingerprint-sealed
-/// [`JobManifest`], so a process killed mid-phase and restarted over the
-/// same inputs re-runs only incomplete tasks. A task killed on every
-/// allowed attempt no longer fails the job: it is parked in the
-/// [`DlqStore`] with its envelope and attempt history. Phases 1 and 2
-/// still require full coverage (their outputs feed everything
-/// downstream), but phase 3 under [`Phase3Strategy::ChunkPartition`]
-/// completes **degraded** — summing the surviving partial cores — as
-/// long as coverage stays at or above [`JobRecovery::min_coverage`].
-/// `m2td-cli dlq requeue` marks parked tasks for re-execution; the next
-/// resumable run re-runs them and drains their entries on success,
-/// converging to the bitwise fault-free result.
-#[allow(clippy::too_many_arguments)]
-pub fn d_m2td_resumable(
-    x1: &SparseTensor,
-    x2: &SparseTensor,
-    k: usize,
-    ranks: &[usize],
-    opts: M2tdOptions,
-    engine: &MapReduce,
-    phase3_strategy: Phase3Strategy,
-    faults: &FaultConfig,
-    checkpoint: Option<&CheckpointStore>,
-    recovery: &JobRecovery<'_>,
-) -> Result<ResumeReport, DistError> {
-    d_m2td_run(
-        x1,
-        x2,
-        k,
-        ranks,
-        opts,
-        engine,
-        phase3_strategy,
-        faults,
-        checkpoint,
-        Some(recovery),
-    )
-    .map(|(dist, info)| ResumeReport {
-        dist,
-        dead_tasks: info.dead_tasks,
-        resumed_tasks: info.resumed_tasks,
-        drained: info.drained,
-        degraded: info.degraded,
-    })
-}
-
-/// Resume bookkeeping accumulated by [`d_m2td_run`].
-#[derive(Debug, Default)]
-struct RunInfo {
-    dead_tasks: Vec<u64>,
-    resumed_tasks: usize,
-    drained: usize,
-    degraded: bool,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn d_m2td_run(
-    x1: &SparseTensor,
-    x2: &SparseTensor,
-    k: usize,
-    ranks: &[usize],
-    opts: M2tdOptions,
-    engine: &MapReduce,
-    phase3_strategy: Phase3Strategy,
-    faults: &FaultConfig,
-    checkpoint: Option<&CheckpointStore>,
-    recovery: Option<&JobRecovery<'_>>,
-) -> Result<(DistDecomposition, RunInfo), DistError> {
-    let m1 = x1.order();
-    let m2 = x2.order();
-    if k == 0 || k >= m1 || k >= m2 {
-        return Err(DistError::Invalid(format!(
-            "pivot count {k} invalid for sub-tensor orders {m1}, {m2}"
-        )));
+        ..DistJob::new(x1, x2, k, ranks)
     }
-    if ranks.len() != k + (m1 - k) + (m2 - k) {
-        return Err(DistError::Invalid(format!(
-            "{} ranks supplied for join order {}",
-            ranks.len(),
-            k + (m1 - k) + (m2 - k)
-        )));
-    }
-    let plan = &faults.plan;
-    let policy = &faults.policy;
-    // Phase-boundary sentinel: reject poisoned inputs before any phase
-    // runs (no-ops while m2td-guard is uninstalled).
-    m2td_guard::check_cells("phase1.x1", x1.iter())?;
-    m2td_guard::check_cells("phase1.x2", x2.iter())?;
-    let fp = Fingerprint::new(x1, x2, k, ranks, &opts);
-    // Resume state: the previous run's manifest (absent or wrong-
-    // fingerprint records degrade to a fresh one) plus drain tally.
-    let resume_state = recovery.map(|r| ResumeState {
-        manifest: Mutex::new(r.manifest.load(&fp).unwrap_or_default()),
-        drained: AtomicUsize::new(0),
-    });
-    let phase_recovery = |job: u64, phase: u8| -> Option<PhaseRecovery<'_>> {
-        match (recovery, &resume_state) {
-            (Some(r), Some(state)) => Some(PhaseRecovery {
-                job,
-                phase,
-                fingerprint: &fp,
-                store: r.manifest,
-                dlq: r.dlq,
-                state,
-            }),
-            _ => None,
+    .run(engine)
+}
+
+/// One D-M2TD run: the two PF-partitioned sub-tensors plus every setting
+/// that shapes how the three phases execute. [`DistJob::new`] gives the
+/// fault-free defaults; override fields with struct-update syntax:
+///
+/// ```
+/// use m2td_dist::{DistJob, MapReduce, Phase3Strategy};
+/// use m2td_tensor::SparseTensor;
+///
+/// let cells = |c: f64| -> Vec<(Vec<usize>, f64)> {
+///     (0..12).map(|l| (vec![l / 3, l % 3], c + l as f64)).collect()
+/// };
+/// let x1 = SparseTensor::from_entries(&[4, 3], &cells(1.0)).unwrap();
+/// let x2 = SparseTensor::from_entries(&[4, 3], &cells(2.0)).unwrap();
+/// let dist = DistJob {
+///     phase3: Phase3Strategy::ModeShuffle,
+///     ..DistJob::new(&x1, &x2, 1, &[2, 2, 2])
+/// }
+/// .run(&MapReduce::new(2))
+/// .unwrap();
+/// assert_eq!(dist.tucker.core.dims(), &[2, 2, 2]);
+/// assert!(!dist.degraded);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct DistJob<'a> {
+    /// First sub-tensor; its leading `k` modes are the pivots.
+    pub x1: &'a SparseTensor,
+    /// Second sub-tensor, sharing `x1`'s pivot modes.
+    pub x2: &'a SparseTensor,
+    /// Number of pivot modes.
+    pub k: usize,
+    /// Tucker ranks in join mode order (pivots, then each side's free
+    /// modes), as for [`m2td_core::m2td_decompose`].
+    pub ranks: &'a [usize],
+    /// Pivot combination, stitching and projection.
+    pub opts: M2tdOptions,
+    /// Phase-3 dataflow.
+    pub phase3: Phase3Strategy,
+    /// Injected faults and the retry policy that answers them.
+    pub faults: FaultConfig,
+    /// Phase-boundary checkpoints. Each completed phase persists its
+    /// output (phase 1: combined factors; phase 2: join tensor), and a
+    /// later run over the same inputs loads them instead of recomputing.
+    pub checkpoint: Option<&'a CheckpointStore>,
+    /// Job-level resume and dead-letter queue. `None` fails the job on
+    /// the first exhausted task.
+    pub recovery: Option<JobRecovery<'a>>,
+}
+
+impl<'a> DistJob<'a> {
+    /// The fault-free job: default options, chunk-partitioned phase 3,
+    /// no injected faults, no checkpoints, no recovery layer.
+    pub fn new(x1: &'a SparseTensor, x2: &'a SparseTensor, k: usize, ranks: &'a [usize]) -> Self {
+        Self {
+            x1,
+            x2,
+            k,
+            ranks,
+            opts: M2tdOptions::default(),
+            phase3: Phase3Strategy::ChunkPartition,
+            faults: FaultConfig::none(),
+            checkpoint: None,
+            recovery: None,
         }
-    };
-    let mut info = RunInfo::default();
-    let ckpt_factors = checkpoint.and_then(|c| c.load_phase1(&fp));
-    let ckpt_join = checkpoint.and_then(|c| c.load_phase2(&fp));
-    if checkpoint.is_some() && m2td_obs::installed() {
-        let hit = |found: bool| if found { "hits" } else { "misses" };
-        m2td_obs::counter_add(format!("ckpt.phase1.{}", hit(ckpt_factors.is_some())), 1);
-        m2td_obs::counter_add(format!("ckpt.phase2.{}", hit(ckpt_join.is_some())), 1);
     }
 
-    // Tagged entry stream: (κ, linear index, value). Needed by whichever
-    // of phases 1 and 2 is not resumed from a checkpoint.
-    let tagged: Vec<(u8, u64, f64)> = if ckpt_factors.is_none() || ckpt_join.is_none() {
-        x1.iter_linear()
-            .map(|(l, v)| (1u8, l, v))
-            .chain(x2.iter_linear().map(|(l, v)| (2u8, l, v)))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    /// Runs the three phases on `engine`. The result agrees with the
+    /// serial [`m2td_core::m2td_decompose`] up to floating-point
+    /// accumulation order.
+    ///
+    /// Phases resumed from [`checkpoint`](Self::checkpoint) report
+    /// `resumed = true` and all-zero [`TaskCounters`]. Without a
+    /// [`recovery`](Self::recovery) layer, a task killed on every allowed
+    /// attempt surfaces [`DistError::Exhausted`].
+    ///
+    /// With one, every completed reduce task (with its serialized output)
+    /// is recorded in a fingerprint-sealed [`JobManifest`], so a process
+    /// killed mid-phase and restarted over the same inputs re-runs only
+    /// incomplete tasks, and an exhausted task is parked in the
+    /// [`DlqStore`] with its envelope and attempt history instead of
+    /// failing the job. Phases 1 and 2 still require full coverage (their
+    /// outputs feed everything downstream), but phase 3 under
+    /// [`Phase3Strategy::ChunkPartition`] completes **degraded** — summing
+    /// the surviving partial cores — as long as coverage stays at or above
+    /// [`JobRecovery::min_coverage`]. `m2td-cli dlq requeue` marks parked
+    /// tasks for re-execution; the next run re-runs them and drains their
+    /// entries on success.
+    ///
+    /// The determinism invariant: because tasks are pure, any fault
+    /// schedule that eventually succeeds (including one interrupted and
+    /// resumed from checkpoints or the manifest) yields factors and core
+    /// bitwise identical to the fault-free run, at every thread count.
+    pub fn run(&self, engine: &MapReduce) -> Result<DistDecomposition, DistError> {
+        let DistJob {
+            x1,
+            x2,
+            k,
+            ranks,
+            opts,
+            phase3: phase3_strategy,
+            faults,
+            checkpoint,
+            recovery,
+        } = *self;
+        let m1 = x1.order();
+        let m2 = x2.order();
+        if k == 0 || k >= m1 || k >= m2 {
+            return Err(DistError::Invalid(format!(
+                "pivot count {k} invalid for sub-tensor orders {m1}, {m2}"
+            )));
+        }
+        if ranks.len() != k + (m1 - k) + (m2 - k) {
+            return Err(DistError::Invalid(format!(
+                "{} ranks supplied for join order {}",
+                ranks.len(),
+                k + (m1 - k) + (m2 - k)
+            )));
+        }
+        let plan = &faults.plan;
+        let policy = &faults.policy;
+        // Phase-boundary sentinel: reject poisoned inputs before any phase
+        // runs (no-ops while m2td-guard is uninstalled).
+        m2td_guard::check_cells("phase1.x1", x1.iter())?;
+        m2td_guard::check_cells("phase1.x2", x2.iter())?;
+        let fp = Fingerprint::new(x1, x2, k, ranks, &opts);
+        // Resume state: the previous run's manifest (absent or wrong-
+        // fingerprint records degrade to a fresh one) plus drain tally.
+        let resume_state = recovery.map(|r| ResumeState {
+            manifest: Mutex::new(r.manifest.load(&fp).unwrap_or_default()),
+            drained: AtomicUsize::new(0),
+        });
+        let phase_recovery = |job: u64, phase: u8| -> Option<PhaseRecovery<'_>> {
+            match (recovery, &resume_state) {
+                (Some(r), Some(state)) => Some(PhaseRecovery {
+                    job,
+                    phase,
+                    fingerprint: &fp,
+                    store: r.manifest,
+                    dlq: r.dlq,
+                    state,
+                }),
+                _ => None,
+            }
+        };
+        let mut resumed_tasks = 0;
+        let ckpt_factors = checkpoint.and_then(|c| c.load_phase1(&fp));
+        let ckpt_join = checkpoint.and_then(|c| c.load_phase2(&fp));
+        if checkpoint.is_some() && m2td_obs::installed() {
+            let hit = |found: bool| if found { "hits" } else { "misses" };
+            m2td_obs::counter_add(format!("ckpt.phase1.{}", hit(ckpt_factors.is_some())), 1);
+            m2td_obs::counter_add(format!("ckpt.phase2.{}", hit(ckpt_join.is_some())), 1);
+        }
 
-    // ---- Phase 1: parallel sub-tensor decomposition ---------------------
-    // Span labels are shared with `m2td_core::m2td_decompose`: the serial
-    // and distributed phases correspond one-to-one, so telemetry consumers
-    // see one taxonomy regardless of which entry point ran.
-    let span1 = m2td_obs::span!("phase1.decompose");
-    let t1 = Instant::now();
-    let (factors, phase1) = match ckpt_factors {
-        Some(factors) => (factors, PhaseStats::resumed_from_checkpoint()),
-        None => {
-            let dims1 = x1.dims().to_vec();
-            let dims2 = x2.dims().to_vec();
-            let ranks1: Vec<usize> = ranks[..m1].to_vec();
-            let ranks2: Vec<usize> = {
-                let mut r = ranks[..k].to_vec();
-                r.extend_from_slice(&ranks[m1..]);
-                r
-            };
-            let rec1 = phase_recovery(PHASE1_JOB, 1);
-            let sharded1 = engine.run_sharded(
-                &ShardedRun {
-                    job: PHASE1_JOB,
-                    phase: 1,
-                    plan,
-                    policy,
-                    recovery: rec1.as_ref().map(|r| r as &dyn WaveRecovery),
-                },
-                tagged.clone(),
-                |(kappa, lin, v)| vec![(kappa, (lin, v))],
-                |kappa, entries| -> TaskOutcome<(u8, Vec<Matrix>, Vec<Matrix>)> {
-                    let compute = || -> Result<(u8, Vec<Matrix>, Vec<Matrix>), DistError> {
-                        let (dims, rks) = if *kappa == 1 {
-                            (&dims1, &ranks1)
-                        } else {
-                            (&dims2, &ranks2)
+        // Tagged entry stream: (κ, linear index, value). Needed by whichever
+        // of phases 1 and 2 is not resumed from a checkpoint.
+        let tagged: Vec<(u8, u64, f64)> = if ckpt_factors.is_none() || ckpt_join.is_none() {
+            x1.iter_linear()
+                .map(|(l, v)| (1u8, l, v))
+                .chain(x2.iter_linear().map(|(l, v)| (2u8, l, v)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+
+        // ---- Phase 1: parallel sub-tensor decomposition ---------------------
+        // Span labels are shared with `m2td_core::m2td_decompose`: the serial
+        // and distributed phases correspond one-to-one, so telemetry consumers
+        // see one taxonomy regardless of which entry point ran.
+        let span1 = m2td_obs::span!("phase1.decompose");
+        let t1 = Instant::now();
+        let (factors, phase1) = match ckpt_factors {
+            Some(factors) => (factors, PhaseStats::resumed_from_checkpoint()),
+            None => {
+                let dims1 = x1.dims().to_vec();
+                let dims2 = x2.dims().to_vec();
+                let ranks1: Vec<usize> = ranks[..m1].to_vec();
+                let ranks2: Vec<usize> = {
+                    let mut r = ranks[..k].to_vec();
+                    r.extend_from_slice(&ranks[m1..]);
+                    r
+                };
+                let rec1 = phase_recovery(PHASE1_JOB, 1);
+                let sharded1 = engine.run(
+                    &JobSpec {
+                        job: PHASE1_JOB,
+                        phase: 1,
+                        plan,
+                        policy,
+                        recovery: rec1.as_ref().map(|r| r as &dyn WaveRecovery),
+                    },
+                    tagged.clone(),
+                    |(kappa, lin, v)| vec![(kappa, (lin, v))],
+                    |kappa, entries| -> TaskOutcome<(u8, Vec<Matrix>, Vec<Matrix>)> {
+                        let compute = || -> Result<(u8, Vec<Matrix>, Vec<Matrix>), DistError> {
+                            let (dims, rks) = if *kappa == 1 {
+                                (&dims1, &ranks1)
+                            } else {
+                                (&dims2, &ranks2)
+                            };
+                            let (indices, values): (Vec<u64>, Vec<f64>) =
+                                entries.into_iter().unzip();
+                            let tensor = SparseTensor::from_sorted_linear(dims, indices, values)?;
+                            let mut grams = Vec::with_capacity(dims.len());
+                            let mut factors = Vec::with_capacity(dims.len());
+                            for (mode, &r) in rks.iter().enumerate() {
+                                let gram = m2td_tensor::phase_gram(&tensor, mode)?;
+                                factors.push(m2td_guard::gram_factor(
+                                    "phase1.factor",
+                                    Some(mode),
+                                    &gram,
+                                    r,
+                                )?);
+                                grams.push(gram);
+                            }
+                            Ok((*kappa, grams, factors))
                         };
-                        let (indices, values): (Vec<u64>, Vec<f64>) = entries.into_iter().unzip();
-                        let tensor = SparseTensor::from_sorted_linear(dims, indices, values)?;
-                        let mut grams = Vec::with_capacity(dims.len());
-                        let mut factors = Vec::with_capacity(dims.len());
-                        for (mode, &r) in rks.iter().enumerate() {
-                            let gram = m2td_tensor::phase_gram(&tensor, mode)?;
-                            factors.push(m2td_guard::gram_factor(
-                                "phase1.factor",
-                                Some(mode),
-                                &gram,
-                                r,
-                            )?);
-                            grams.push(gram);
-                        }
-                        Ok((*kappa, grams, factors))
-                    };
-                    compute().into()
-                },
-            )?;
-            require_full_coverage(1, &sharded1)?;
-            info.resumed_tasks += sharded1.resumed;
-            let (stats1, tasks1) = (sharded1.stats, sharded1.counters);
-            let mut factor_sets = Vec::with_capacity(sharded1.outputs.len());
-            for (_, outcome) in sharded1.outputs {
-                factor_sets.push(outcome.into_result()?);
-            }
-            if factor_sets.len() != 2 {
-                return Err(DistError::Invalid(
-                    "one of the sub-tensors is empty".to_string(),
-                ));
-            }
-            // factor_sets is keyed 1 then 2 (BTreeMap order).
-            let (_, grams1, factors1) = &factor_sets[0];
-            let (_, grams2, factors2) = &factor_sets[1];
-
-            // Driver-side pivot combination + free-factor assembly (join
-            // order).
-            let mut factors: Vec<Matrix> = Vec::with_capacity(ranks.len());
-            for n in 0..k {
-                // The guard's ClampRank policy may have truncated one
-                // side's factor; pivot combination needs equal widths, so
-                // harmonize both sides to the narrower one.
-                let width = factors1[n].cols().min(factors2[n].cols());
-                factors.push(m2td_core::combine_pivot_factor(
-                    opts.combine,
-                    &grams1[n],
-                    &grams2[n],
-                    &factors1[n].leading_columns(width)?,
-                    &factors2[n].leading_columns(width)?,
-                    width,
-                )?);
-            }
-            for f in &factors1[k..] {
-                factors.push(f.clone());
-            }
-            for f in &factors2[k..] {
-                factors.push(f.clone());
-            }
-            for (n, f) in factors.iter().enumerate() {
-                m2td_guard::check_matrix("phase1.factor", Some(n), f)?;
-            }
-            if let Some(c) = checkpoint {
-                c.save_phase1(&fp, &factors)
-                    .map_err(DistError::Checkpoint)?;
-                // Corruption stream: damage the freshly published record
-                // (models disk corruption after a successful write). This
-                // run keeps its in-memory factors; the *next* run must
-                // quarantine the record and recompute.
-                if let Some(kind) = plan.ckpt_corruption(1) {
-                    c.corrupt(1, kind).map_err(DistError::Checkpoint)?;
+                        compute().into()
+                    },
+                )?;
+                require_full_coverage(1, &sharded1)?;
+                resumed_tasks += sharded1.resumed;
+                let (stats1, tasks1) = (sharded1.stats, sharded1.counters);
+                let mut factor_sets = Vec::with_capacity(sharded1.outputs.len());
+                for (_, outcome) in sharded1.outputs {
+                    factor_sets.push(outcome.into_result()?);
                 }
-            }
-            let stats = PhaseStats::computed(t1.elapsed().as_secs_f64(), stats1, tasks1);
-            (factors, stats)
-        }
-    };
-
-    drop(span1);
-
-    // ---- Phase 2: parallel JE-stitching ---------------------------------
-    let span2 = m2td_obs::span!("phase2.stitch");
-    let t2 = Instant::now();
-    let mut join_dims: Vec<usize> = x1.dims()[..k].to_vec();
-    join_dims.extend_from_slice(&x1.dims()[k..]);
-    join_dims.extend_from_slice(&x2.dims()[k..]);
-    let (join, phase2) = match ckpt_join {
-        Some(join) => {
-            if join.dims() != join_dims.as_slice() {
-                return Err(DistError::Invalid(format!(
-                    "checkpointed join tensor dims {:?} do not match expected {join_dims:?}",
-                    join.dims()
-                )));
-            }
-            (join, PhaseStats::resumed_from_checkpoint())
-        }
-        None => {
-            let pivot_shape = Shape::new(&x1.dims()[..k]);
-            let free1_shape = Shape::new(&x1.dims()[k..]);
-            let free2_shape = Shape::new(&x2.dims()[k..]);
-            let join_shape = Shape::new(&join_dims);
-
-            // Global free-config sets, needed by zero-join reducers.
-            let (free_set1, free_set2): (BTreeSet<u64>, BTreeSet<u64>) = {
-                let mut f1 = BTreeSet::new();
-                let mut f2 = BTreeSet::new();
-                let mut idx1 = vec![0usize; m1];
-                for (lin, _) in x1.iter_linear() {
-                    x1.shape().multi_index_into(lin as usize, &mut idx1);
-                    f1.insert(free1_shape.linear_index(&idx1[k..]) as u64);
+                if factor_sets.len() != 2 {
+                    return Err(DistError::Invalid(
+                        "one of the sub-tensors is empty".to_string(),
+                    ));
                 }
-                let mut idx2 = vec![0usize; m2];
-                for (lin, _) in x2.iter_linear() {
-                    x2.shape().multi_index_into(lin as usize, &mut idx2);
-                    f2.insert(free2_shape.linear_index(&idx2[k..]) as u64);
-                }
-                (f1, f2)
-            };
+                // factor_sets is keyed 1 then 2 (BTreeMap order).
+                let (_, grams1, factors1) = &factor_sets[0];
+                let (_, grams2, factors2) = &factor_sets[1];
 
-            let shape1 = x1.shape().clone();
-            let shape2 = x2.shape().clone();
-            let rec2 = phase_recovery(PHASE2_JOB, 2);
-            let sharded2 = engine.run_sharded(
-                &ShardedRun {
-                    job: PHASE2_JOB,
-                    phase: 2,
-                    plan,
-                    policy,
-                    recovery: rec2.as_ref().map(|r| r as &dyn WaveRecovery),
-                },
-                tagged,
-                |(kappa, lin, v)| {
-                    // Key by pivot configuration.
-                    let (shape, free_shape, order) = if kappa == 1 {
-                        (&shape1, &free1_shape, m1)
-                    } else {
-                        (&shape2, &free2_shape, m2)
-                    };
-                    let mut idx = vec![0usize; order];
-                    shape.multi_index_into(lin as usize, &mut idx);
-                    let p = pivot_shape.linear_index(&idx[..k]) as u64;
-                    let f = free_shape.linear_index(&idx[k..]) as u64;
-                    vec![(p, (kappa, f, v))]
-                },
-                |pivot, entries| {
-                    // Join this pivot group.
-                    let mut side1: BTreeMap<u64, f64> = BTreeMap::new();
-                    let mut side2: BTreeMap<u64, f64> = BTreeMap::new();
-                    for (kappa, f, v) in entries {
-                        if kappa == 1 {
-                            side1.insert(f, v);
-                        } else {
-                            side2.insert(f, v);
-                        }
+                // Driver-side pivot combination + free-factor assembly (join
+                // order).
+                let mut factors: Vec<Matrix> = Vec::with_capacity(ranks.len());
+                for n in 0..k {
+                    // The guard's ClampRank policy may have truncated one
+                    // side's factor; pivot combination needs equal widths, so
+                    // harmonize both sides to the narrower one.
+                    let width = factors1[n].cols().min(factors2[n].cols());
+                    factors.push(m2td_core::combine_pivot_factor(
+                        opts.combine,
+                        &grams1[n],
+                        &grams2[n],
+                        &factors1[n].leading_columns(width)?,
+                        &factors2[n].leading_columns(width)?,
+                        width,
+                    )?);
+                }
+                for f in &factors1[k..] {
+                    factors.push(f.clone());
+                }
+                for f in &factors2[k..] {
+                    factors.push(f.clone());
+                }
+                for (n, f) in factors.iter().enumerate() {
+                    m2td_guard::check_matrix("phase1.factor", Some(n), f)?;
+                }
+                if let Some(c) = checkpoint {
+                    c.save_phase1(&fp, &factors)
+                        .map_err(DistError::Checkpoint)?;
+                    // Corruption stream: damage the freshly published record
+                    // (models disk corruption after a successful write). This
+                    // run keeps its in-memory factors; the *next* run must
+                    // quarantine the record and recompute.
+                    if let Some(kind) = plan.ckpt_corruption(1) {
+                        c.corrupt(1, kind).map_err(DistError::Checkpoint)?;
                     }
-                    let mut cells: Vec<(u64, u64, f64)> = Vec::new();
-                    match opts.stitch {
-                        StitchKind::Join => {
-                            for (&f1, &v1) in &side1 {
-                                for (&f2, &v2) in &side2 {
-                                    cells.push((f1, f2, 0.5 * (v1 + v2)));
-                                }
-                            }
-                        }
-                        StitchKind::ZeroJoin => {
-                            for (&f1, &v1) in &side1 {
-                                for &f2 in &free_set2 {
-                                    let v2 = side2.get(&f2).copied().unwrap_or(0.0);
-                                    cells.push((f1, f2, 0.5 * (v1 + v2)));
-                                }
-                            }
-                            for (&f2, &v2) in &side2 {
-                                for &f1 in &free_set1 {
-                                    if side1.contains_key(&f1) {
-                                        continue;
-                                    }
-                                    cells.push((f1, f2, 0.5 * v2));
-                                }
-                            }
-                        }
-                    }
-                    (*pivot, cells)
-                },
-            )?;
-            require_full_coverage(2, &sharded2)?;
-            info.resumed_tasks += sharded2.resumed;
-            let (stats2, tasks2) = (sharded2.stats, sharded2.counters);
-
-            // Assemble the join tensor from the per-pivot groups.
-            let f1_len = free1_shape.order();
-            let mut entries: Vec<(u64, f64)> = Vec::new();
-            let mut idx = vec![0usize; join_dims.len()];
-            for (_, (pivot, cells)) in sharded2.outputs {
-                for (f1, f2, v) in cells {
-                    pivot_shape.multi_index_into(pivot as usize, &mut idx[..k]);
-                    free1_shape.multi_index_into(f1 as usize, &mut idx[k..k + f1_len]);
-                    free2_shape.multi_index_into(f2 as usize, &mut idx[k + f1_len..]);
-                    entries.push((join_shape.linear_index(&idx) as u64, v));
                 }
+                let stats = PhaseStats::computed(t1.elapsed().as_secs_f64(), stats1, tasks1);
+                (factors, stats)
             }
-            entries.sort_unstable_by_key(|&(l, _)| l);
-            let (indices, values): (Vec<u64>, Vec<f64>) = entries.into_iter().unzip();
-            let join = SparseTensor::from_sorted_linear(&join_dims, indices, values)?;
-            if let Some(c) = checkpoint {
-                c.save_phase2(&fp, &join).map_err(DistError::Checkpoint)?;
-                if let Some(kind) = plan.ckpt_corruption(2) {
-                    c.corrupt(2, kind).map_err(DistError::Checkpoint)?;
-                }
-            }
-            let stats = PhaseStats::computed(t2.elapsed().as_secs_f64(), stats2, tasks2);
-            (join, stats)
-        }
-    };
+        };
 
-    drop(span2);
-    // Phase-2 boundary sentinel: a poisoned join cell (from a NaN that
-    // slipped into the stitch arithmetic) must not reach core recovery.
-    m2td_guard::check_cells("phase2.join", join.iter())?;
+        drop(span1);
 
-    // ---- Phase 3: parallel core recovery --------------------------------
-    let _span3 = m2td_obs::span!("phase3.core");
-    let t3 = Instant::now();
-    if join.nnz() == 0 {
-        return Err(DistError::Invalid(
-            "join tensor is empty: the sub-ensembles share no pivot configuration".to_string(),
-        ));
-    }
-    let proj_factors = projection_factors(&factors, opts.projection)?;
-    let (core, stats3, tasks3) = match phase3_strategy {
-        Phase3Strategy::ChunkPartition => {
-            let partitions = engine.workers() as u64;
-            let join_cells: Vec<(u64, f64)> = join.iter_linear().collect();
-            // Every chunk shares the join shape and factor ranks, so the
-            // TTM chain is planned once, outside the reducer.
-            let ranks: Vec<usize> = proj_factors.iter().map(|f| f.cols()).collect();
-            let chain_plan =
-                TtmPlan::with_ordering(&join_dims, &ranks, CoreOrdering::BestShrinkFirst)?;
-            let rec3 = phase_recovery(PHASE3_JOB, 3);
-            let sharded3 = engine.run_sharded(
-                &ShardedRun {
-                    job: PHASE3_JOB,
-                    phase: 3,
-                    plan,
-                    policy,
-                    recovery: rec3.as_ref().map(|r| r as &dyn WaveRecovery),
-                },
-                join_cells,
-                |(lin, v)| vec![(lin % partitions, (lin, v))],
-                |_part, cells| -> TaskOutcome<DenseTensor> {
-                    let compute = || -> Result<DenseTensor, DistError> {
-                        let (mut indices, mut values): (Vec<u64>, Vec<f64>) = (
-                            Vec::with_capacity(cells.len()),
-                            Vec::with_capacity(cells.len()),
-                        );
-                        let mut sorted = cells.clone();
-                        sorted.sort_unstable_by_key(|&(l, _)| l);
-                        for (l, v) in sorted {
-                            indices.push(l);
-                            values.push(v);
-                        }
-                        let chunk = SparseTensor::from_sorted_linear(&join_dims, indices, values)?;
-                        Ok(chain_plan.execute_sparse(
-                            &chunk,
-                            &proj_factors,
-                            &mut Workspace::new(),
-                        )?)
-                    };
-                    compute().into()
-                },
-            )?;
-            info.resumed_tasks += sharded3.resumed;
-            // Degraded completion: partial cores sum, so a missing task
-            // only loses its cells' contribution. Refuse below the
-            // coverage floor (or at all without a recovery layer — the
-            // wave then fails before reaching here).
-            let total = sharded3.reduce_tasks.max(1);
-            let missing = sharded3.dead.len() + sharded3.skipped_dead.len();
-            if missing > 0 {
-                let covered = (total as usize - missing) as f64 / total as f64;
-                let floor = recovery.map(|r| r.min_coverage).unwrap_or(1.0);
-                if covered < floor {
-                    return Err(DistError::Worker(format!(
-                        "phase-3 coverage {covered:.3} is below the {floor:.3} floor: \
-                         {missing} of {total} partial cores are parked in the dead-letter queue"
+        // ---- Phase 2: parallel JE-stitching ---------------------------------
+        let span2 = m2td_obs::span!("phase2.stitch");
+        let t2 = Instant::now();
+        let mut join_dims: Vec<usize> = x1.dims()[..k].to_vec();
+        join_dims.extend_from_slice(&x1.dims()[k..]);
+        join_dims.extend_from_slice(&x2.dims()[k..]);
+        let (join, phase2) = match ckpt_join {
+            Some(join) => {
+                if join.dims() != join_dims.as_slice() {
+                    return Err(DistError::Invalid(format!(
+                        "checkpointed join tensor dims {:?} do not match expected {join_dims:?}",
+                        join.dims()
                     )));
                 }
-                info.degraded = true;
-                info.dead_tasks = sharded3
-                    .dead
-                    .iter()
-                    .map(|d| d.task)
-                    .chain(sharded3.skipped_dead.iter().copied())
-                    .collect();
-                info.dead_tasks.sort_unstable();
-                m2td_obs::counter_add("dlq.degraded_completions", 1);
+                (join, PhaseStats::resumed_from_checkpoint())
             }
-            let (stats3, tasks3) = (sharded3.stats, sharded3.counters);
-            let mut core: Option<DenseTensor> = None;
-            for (_, outcome) in sharded3.outputs {
-                let partial = outcome.into_result()?;
-                core = Some(match core {
-                    None => partial,
-                    Some(acc) => acc.add(&partial)?,
-                });
-            }
-            let core = core.ok_or_else(|| {
-                DistError::Invalid("phase 3 produced no partial cores".to_string())
-            })?;
-            (core, stats3, tasks3)
-        }
-        Phase3Strategy::ModeShuffle => phase3_mode_shuffle(&join, &proj_factors, engine, faults)?,
-    };
-    let phase3 = PhaseStats::computed(t3.elapsed().as_secs_f64(), stats3, tasks3);
-    // Phase-3 boundary sentinel: the recovered core is the run's output;
-    // a non-finite entry here is exactly the "silent garbage core" the
-    // guard layer exists to prevent.
-    m2td_guard::check_dense("phase3.core", core.dims(), core.as_slice())?;
+            None => {
+                let pivot_shape = Shape::new(&x1.dims()[..k]);
+                let free1_shape = Shape::new(&x1.dims()[k..]);
+                let free2_shape = Shape::new(&x2.dims()[k..]);
+                let join_shape = Shape::new(&join_dims);
 
-    if let Some(state) = &resume_state {
-        info.drained = state.drained.load(Ordering::Relaxed);
-    }
-    let tucker = TuckerDecomp::new(core, factors)?;
-    Ok((
-        DistDecomposition {
-            tucker,
+                // Global free-config sets, needed by zero-join reducers.
+                let (free_set1, free_set2): (BTreeSet<u64>, BTreeSet<u64>) = {
+                    let mut f1 = BTreeSet::new();
+                    let mut f2 = BTreeSet::new();
+                    let mut idx1 = vec![0usize; m1];
+                    for (lin, _) in x1.iter_linear() {
+                        x1.shape().multi_index_into(lin as usize, &mut idx1);
+                        f1.insert(free1_shape.linear_index(&idx1[k..]) as u64);
+                    }
+                    let mut idx2 = vec![0usize; m2];
+                    for (lin, _) in x2.iter_linear() {
+                        x2.shape().multi_index_into(lin as usize, &mut idx2);
+                        f2.insert(free2_shape.linear_index(&idx2[k..]) as u64);
+                    }
+                    (f1, f2)
+                };
+
+                let shape1 = x1.shape().clone();
+                let shape2 = x2.shape().clone();
+                let rec2 = phase_recovery(PHASE2_JOB, 2);
+                let sharded2 = engine.run(
+                    &JobSpec {
+                        job: PHASE2_JOB,
+                        phase: 2,
+                        plan,
+                        policy,
+                        recovery: rec2.as_ref().map(|r| r as &dyn WaveRecovery),
+                    },
+                    tagged,
+                    |(kappa, lin, v)| {
+                        // Key by pivot configuration.
+                        let (shape, free_shape, order) = if kappa == 1 {
+                            (&shape1, &free1_shape, m1)
+                        } else {
+                            (&shape2, &free2_shape, m2)
+                        };
+                        let mut idx = vec![0usize; order];
+                        shape.multi_index_into(lin as usize, &mut idx);
+                        let p = pivot_shape.linear_index(&idx[..k]) as u64;
+                        let f = free_shape.linear_index(&idx[k..]) as u64;
+                        vec![(p, (kappa, f, v))]
+                    },
+                    |pivot, entries| {
+                        // Join this pivot group.
+                        let mut side1: BTreeMap<u64, f64> = BTreeMap::new();
+                        let mut side2: BTreeMap<u64, f64> = BTreeMap::new();
+                        for (kappa, f, v) in entries {
+                            if kappa == 1 {
+                                side1.insert(f, v);
+                            } else {
+                                side2.insert(f, v);
+                            }
+                        }
+                        let mut cells: Vec<(u64, u64, f64)> = Vec::new();
+                        match opts.stitch {
+                            StitchKind::Join => {
+                                for (&f1, &v1) in &side1 {
+                                    for (&f2, &v2) in &side2 {
+                                        cells.push((f1, f2, 0.5 * (v1 + v2)));
+                                    }
+                                }
+                            }
+                            StitchKind::ZeroJoin => {
+                                for (&f1, &v1) in &side1 {
+                                    for &f2 in &free_set2 {
+                                        let v2 = side2.get(&f2).copied().unwrap_or(0.0);
+                                        cells.push((f1, f2, 0.5 * (v1 + v2)));
+                                    }
+                                }
+                                for (&f2, &v2) in &side2 {
+                                    for &f1 in &free_set1 {
+                                        if side1.contains_key(&f1) {
+                                            continue;
+                                        }
+                                        cells.push((f1, f2, 0.5 * v2));
+                                    }
+                                }
+                            }
+                        }
+                        (*pivot, cells)
+                    },
+                )?;
+                require_full_coverage(2, &sharded2)?;
+                resumed_tasks += sharded2.resumed;
+                let (stats2, tasks2) = (sharded2.stats, sharded2.counters);
+
+                // Assemble the join tensor from the per-pivot groups.
+                let f1_len = free1_shape.order();
+                let mut entries: Vec<(u64, f64)> = Vec::new();
+                let mut idx = vec![0usize; join_dims.len()];
+                for (_, (pivot, cells)) in sharded2.outputs {
+                    for (f1, f2, v) in cells {
+                        pivot_shape.multi_index_into(pivot as usize, &mut idx[..k]);
+                        free1_shape.multi_index_into(f1 as usize, &mut idx[k..k + f1_len]);
+                        free2_shape.multi_index_into(f2 as usize, &mut idx[k + f1_len..]);
+                        entries.push((join_shape.linear_index(&idx) as u64, v));
+                    }
+                }
+                entries.sort_unstable_by_key(|&(l, _)| l);
+                let (indices, values): (Vec<u64>, Vec<f64>) = entries.into_iter().unzip();
+                let join = SparseTensor::from_sorted_linear(&join_dims, indices, values)?;
+                if let Some(c) = checkpoint {
+                    c.save_phase2(&fp, &join).map_err(DistError::Checkpoint)?;
+                    if let Some(kind) = plan.ckpt_corruption(2) {
+                        c.corrupt(2, kind).map_err(DistError::Checkpoint)?;
+                    }
+                }
+                let stats = PhaseStats::computed(t2.elapsed().as_secs_f64(), stats2, tasks2);
+                (join, stats)
+            }
+        };
+
+        drop(span2);
+        // Phase-2 boundary sentinel: a poisoned join cell (from a NaN that
+        // slipped into the stitch arithmetic) must not reach core recovery.
+        m2td_guard::check_cells("phase2.join", join.iter())?;
+
+        // ---- Phase 3: parallel core recovery --------------------------------
+        let _span3 = m2td_obs::span!("phase3.core");
+        let t3 = Instant::now();
+        if join.nnz() == 0 {
+            return Err(DistError::Invalid(
+                "join tensor is empty: the sub-ensembles share no pivot configuration".to_string(),
+            ));
+        }
+        let proj_factors = projection_factors(&factors, opts.projection)?;
+        let mut dead_tasks = Vec::new();
+        let (core, stats3, tasks3) = match phase3_strategy {
+            Phase3Strategy::ChunkPartition => {
+                let partitions = engine.workers() as u64;
+                let join_cells: Vec<(u64, f64)> = join.iter_linear().collect();
+                // Every chunk shares the join shape and factor ranks, so the
+                // TTM chain is planned once, outside the reducer.
+                let ranks: Vec<usize> = proj_factors.iter().map(|f| f.cols()).collect();
+                let chain_plan =
+                    TtmPlan::with_ordering(&join_dims, &ranks, CoreOrdering::BestShrinkFirst)?;
+                let rec3 = phase_recovery(PHASE3_JOB, 3);
+                let sharded3 = engine.run(
+                    &JobSpec {
+                        job: PHASE3_JOB,
+                        phase: 3,
+                        plan,
+                        policy,
+                        recovery: rec3.as_ref().map(|r| r as &dyn WaveRecovery),
+                    },
+                    join_cells,
+                    |(lin, v)| vec![(lin % partitions, (lin, v))],
+                    |_part, cells| -> TaskOutcome<DenseTensor> {
+                        let compute = || -> Result<DenseTensor, DistError> {
+                            let (mut indices, mut values): (Vec<u64>, Vec<f64>) = (
+                                Vec::with_capacity(cells.len()),
+                                Vec::with_capacity(cells.len()),
+                            );
+                            let mut sorted = cells.clone();
+                            sorted.sort_unstable_by_key(|&(l, _)| l);
+                            for (l, v) in sorted {
+                                indices.push(l);
+                                values.push(v);
+                            }
+                            let chunk =
+                                SparseTensor::from_sorted_linear(&join_dims, indices, values)?;
+                            Ok(chain_plan.execute_sparse(
+                                &chunk,
+                                &proj_factors,
+                                &mut Workspace::new(),
+                            )?)
+                        };
+                        compute().into()
+                    },
+                )?;
+                resumed_tasks += sharded3.resumed;
+                // Degraded completion: partial cores sum, so a missing task
+                // only loses its cells' contribution. Refuse below the
+                // coverage floor (or at all without a recovery layer — the
+                // wave then fails before reaching here).
+                let total = sharded3.reduce_tasks.max(1);
+                let missing = sharded3.dead.len() + sharded3.skipped_dead.len();
+                if missing > 0 {
+                    let covered = (total as usize - missing) as f64 / total as f64;
+                    let floor = recovery.map(|r| r.min_coverage).unwrap_or(1.0);
+                    if covered < floor {
+                        return Err(DistError::Worker(format!(
+                            "phase-3 coverage {covered:.3} is below the {floor:.3} floor: \
+                             {missing} of {total} partial cores are parked in the dead-letter queue"
+                        )));
+                    }
+                    dead_tasks = sharded3
+                        .dead
+                        .iter()
+                        .map(|d| d.task)
+                        .chain(sharded3.skipped_dead.iter().copied())
+                        .collect();
+                    dead_tasks.sort_unstable();
+                    m2td_obs::counter_add("dlq.degraded_completions", 1);
+                }
+                let (stats3, tasks3) = (sharded3.stats, sharded3.counters);
+                let mut core: Option<DenseTensor> = None;
+                for (_, outcome) in sharded3.outputs {
+                    let partial = outcome.into_result()?;
+                    core = Some(match core {
+                        None => partial,
+                        Some(acc) => acc.add(&partial)?,
+                    });
+                }
+                let core = core.ok_or_else(|| {
+                    DistError::Invalid("phase 3 produced no partial cores".to_string())
+                })?;
+                (core, stats3, tasks3)
+            }
+            Phase3Strategy::ModeShuffle => {
+                phase3_mode_shuffle(&join, &proj_factors, engine, &faults)?
+            }
+        };
+        let phase3 = PhaseStats::computed(t3.elapsed().as_secs_f64(), stats3, tasks3);
+        // Phase-3 boundary sentinel: the recovered core is the run's output;
+        // a non-finite entry here is exactly the "silent garbage core" the
+        // guard layer exists to prevent.
+        m2td_guard::check_dense("phase3.core", core.dims(), core.as_slice())?;
+
+        Ok(DistDecomposition {
+            tucker: TuckerDecomp::new(core, factors)?,
             phase1,
             phase2,
             phase3,
-        },
-        info,
-    ))
+            degraded: !dead_tasks.is_empty(),
+            dead_tasks,
+            resumed_tasks,
+            drained: resume_state.map_or(0, |s| s.drained.into_inner()),
+        })
+    }
 }
 
 /// Phase 3 via the paper's dataflow: one MapReduce job per mode, cells
@@ -1052,8 +1005,8 @@ fn phase3_mode_shuffle(
             .collect();
         let rest_shape = Shape::new(&rest_dims);
 
-        let sharded = engine.run_sharded(
-            &ShardedRun {
+        let sharded = engine.run(
+            &JobSpec {
                 job: PHASE3_JOB,
                 phase: 3,
                 plan: &faults.plan,
@@ -1225,25 +1178,13 @@ mod tests {
         let ranks = [3, 3, 3];
         let opts = M2tdOptions::default();
         let engine = MapReduce::new(3);
-        let chunk = d_m2td_with_phase3(
-            &x1,
-            &x2,
-            1,
-            &ranks,
+        let chunk = d_m2td(&x1, &x2, 1, &ranks, opts, &engine).unwrap();
+        let shuffle = DistJob {
             opts,
-            &engine,
-            Phase3Strategy::ChunkPartition,
-        )
-        .unwrap();
-        let shuffle = d_m2td_with_phase3(
-            &x1,
-            &x2,
-            1,
-            &ranks,
-            opts,
-            &engine,
-            Phase3Strategy::ModeShuffle,
-        )
+            phase3: Phase3Strategy::ModeShuffle,
+            ..DistJob::new(&x1, &x2, 1, &ranks)
+        }
+        .run(&engine)
         .unwrap();
         let d = chunk
             .tucker
@@ -1272,15 +1213,12 @@ mod tests {
         let x2 = thin(&x2_full, 3);
         let opts = M2tdOptions::default();
         let serial = m2td_decompose(&x1, &x2, 1, &[2, 2, 2], opts).unwrap();
-        let dist = d_m2td_with_phase3(
-            &x1,
-            &x2,
-            1,
-            &[2, 2, 2],
+        let dist = DistJob {
             opts,
-            &MapReduce::new(2),
-            Phase3Strategy::ModeShuffle,
-        )
+            phase3: Phase3Strategy::ModeShuffle,
+            ..DistJob::new(&x1, &x2, 1, &[2, 2, 2])
+        }
+        .run(&MapReduce::new(2))
         .unwrap();
         let d = dist
             .tucker
@@ -1357,17 +1295,12 @@ mod tests {
             plan: FaultPlan::new(21, 0.5, 0.4, 30.0),
             policy: RetryPolicy::default(),
         };
-        let faulty = d_m2td_fault_tolerant(
-            &x1,
-            &x2,
-            1,
-            &ranks,
+        let faulty = DistJob {
             opts,
-            &engine,
-            Phase3Strategy::ChunkPartition,
-            &faults,
-            None,
-        )
+            faults,
+            ..DistJob::new(&x1, &x2, 1, &ranks)
+        }
+        .run(&engine)
         .unwrap();
         assert_eq!(
             clean.tucker.core.as_slice(),
@@ -1442,18 +1375,16 @@ mod tests {
         };
         let dlq = DlqStore::open(&dir);
         let recovery = JobRecovery::new(&manifest, &dlq).with_min_coverage(0.5);
-        let report = d_m2td_resumable(
-            &x1,
-            &x2,
-            1,
-            &ranks,
+        let job = DistJob {
             opts,
-            &engine,
-            Phase3Strategy::ChunkPartition,
-            &doomed,
-            None,
-            &recovery,
-        )
+            recovery: Some(recovery),
+            ..DistJob::new(&x1, &x2, 1, &ranks)
+        };
+        let report = DistJob {
+            faults: doomed,
+            ..job
+        }
+        .run(&engine)
         .unwrap();
         assert!(report.degraded);
         assert_eq!(report.dead_tasks, vec![1]);
@@ -1462,49 +1393,28 @@ mod tests {
         assert_eq!((entry.job, entry.phase, entry.task), (PHASE3_JOB, 3, 1));
         assert_eq!(entry.attempts, RetryPolicy::default().max_attempts);
         // The degraded core differs from the clean one (cells missing).
-        assert_ne!(
-            report.dist.tucker.core.as_slice(),
-            clean.tucker.core.as_slice()
-        );
+        assert_ne!(report.tucker.core.as_slice(), clean.tucker.core.as_slice());
 
         // A tighter floor refuses the same degradation outright.
         let strict = JobRecovery::new(&manifest, &dlq).with_min_coverage(0.9);
-        let err = d_m2td_resumable(
-            &x1,
-            &x2,
-            1,
-            &ranks,
-            opts,
-            &engine,
-            Phase3Strategy::ChunkPartition,
-            &doomed,
-            None,
-            &strict,
-        )
+        let err = DistJob {
+            faults: doomed,
+            recovery: Some(strict),
+            ..job
+        }
+        .run(&engine)
         .unwrap_err();
         assert!(matches!(err, DistError::Worker(_)), "got {err}");
 
         // Run 2: requeue, drop the doom — converges to the clean result.
         assert_eq!(dlq.requeue_all().unwrap(), 1);
-        let report2 = d_m2td_resumable(
-            &x1,
-            &x2,
-            1,
-            &ranks,
-            opts,
-            &engine,
-            Phase3Strategy::ChunkPartition,
-            &FaultConfig::none(),
-            None,
-            &recovery,
-        )
-        .unwrap();
+        let report2 = job.run(&engine).unwrap();
         assert!(!report2.degraded);
         assert_eq!(report2.drained, 1);
         assert!(report2.resumed_tasks > 0, "manifest resumed nothing");
         assert_eq!(dlq.depth(), 0);
         assert_eq!(
-            report2.dist.tucker.core.as_slice(),
+            report2.tucker.core.as_slice(),
             clean.tucker.core.as_slice(),
             "requeued run is not bitwise identical to the clean run"
         );
@@ -1524,19 +1434,12 @@ mod tests {
             plan: FaultPlan::none().in_job(PHASE1_JOB).with_doom_mask(1),
             policy: RetryPolicy::default(),
         };
-        let recovery = JobRecovery::new(&manifest, &dlq);
-        let err = d_m2td_resumable(
-            &x1,
-            &x2,
-            1,
-            &[2, 2, 2],
-            M2tdOptions::default(),
-            &MapReduce::new(2),
-            Phase3Strategy::ChunkPartition,
-            &doomed,
-            None,
-            &recovery,
-        )
+        let err = DistJob {
+            faults: doomed,
+            recovery: Some(JobRecovery::new(&manifest, &dlq)),
+            ..DistJob::new(&x1, &x2, 1, &[2, 2, 2])
+        }
+        .run(&MapReduce::new(2))
         .unwrap_err();
         assert!(matches!(err, DistError::Exhausted(_)), "got {err}");
         // The corpse is in the queue for forensics and requeue.
@@ -1554,31 +1457,14 @@ mod tests {
         let ranks = [3, 3, 3];
         let opts = M2tdOptions::default();
         let engine = MapReduce::new(2);
-        let first = d_m2td_fault_tolerant(
-            &x1,
-            &x2,
-            1,
-            &ranks,
+        let job = DistJob {
             opts,
-            &engine,
-            Phase3Strategy::ChunkPartition,
-            &FaultConfig::none(),
-            Some(&store),
-        )
-        .unwrap();
+            checkpoint: Some(&store),
+            ..DistJob::new(&x1, &x2, 1, &ranks)
+        };
+        let first = job.run(&engine).unwrap();
         assert!(!first.phase1.resumed && !first.phase2.resumed);
-        let second = d_m2td_fault_tolerant(
-            &x1,
-            &x2,
-            1,
-            &ranks,
-            opts,
-            &engine,
-            Phase3Strategy::ChunkPartition,
-            &FaultConfig::none(),
-            Some(&store),
-        )
-        .unwrap();
+        let second = job.run(&engine).unwrap();
         assert!(second.phase1.resumed && second.phase2.resumed);
         assert_eq!(second.phase1.tasks.attempts(), 0);
         assert_eq!(second.phase2.tasks.attempts(), 0);

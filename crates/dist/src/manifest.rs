@@ -212,6 +212,7 @@ impl ManifestStore {
 mod tests {
     use super::*;
     use m2td_core::M2tdOptions;
+    use m2td_linalg::Matrix;
     use m2td_tensor::SparseTensor;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -284,5 +285,31 @@ mod tests {
 
         store.clear();
         assert_eq!(store.load(&fp(7)), None);
+    }
+
+    #[test]
+    fn hostile_nesting_is_treated_as_absent() {
+        let store = ManifestStore::open(tmp_dir("hostile")).unwrap();
+        std::fs::write(store.path(), "[".repeat(100_000)).unwrap();
+        assert_eq!(store.load(&fp(7)), None);
+    }
+
+    #[test]
+    fn phase1_outputs_round_trip() {
+        // The deepest document the workspace writes: phase-1 reduce
+        // outputs `{"ok": [κ, grams, factors]}` inside the sealed manifest.
+        let gram = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64 * 0.25);
+        let factor = Matrix::from_fn(3, 2, |i, j| (i + j) as f64 - 0.5);
+        let output = Json::Obj(vec![(
+            "ok".to_string(),
+            (1u8, vec![gram.clone(), gram], vec![factor.clone(), factor]).to_json(),
+        )]);
+        let mut m = JobManifest::default();
+        m.begin_phase(1, 2);
+        m.record_complete(1, 0, output.clone());
+        m.record_complete(1, 1, output);
+        let store = ManifestStore::open(tmp_dir("phase1")).unwrap();
+        store.save(&fp(7), &m).unwrap();
+        assert_eq!(store.load(&fp(7)), Some(m));
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! ## Fault tolerance
 //!
-//! [`MapReduce::run_with_faults`] executes the same job under a seeded
+//! [`MapReduce::run`] executes every job under the [`JobSpec`]'s seeded
 //! [`FaultPlan`]: task attempts can be **killed** (output discarded, task
 //! retried with deterministic virtual backoff, bounded by the
 //! [`RetryPolicy`]) or can **straggle** (charged a virtual delay; delays
@@ -27,19 +27,19 @@
 //! identical result is used instead). Because map and reduce closures are
 //! pure, any fault schedule that eventually succeeds yields outputs
 //! bitwise identical to the fault-free run — faults only change the
-//! [`TaskCounters`] and virtual time. A task killed on every allowed
-//! attempt fails the job with [`FaultError::RetryExhausted`].
+//! [`TaskCounters`] and virtual time. Without a recovery hook, a task
+//! killed on every allowed attempt fails the job with
+//! [`FaultError::RetryExhausted`].
 //!
 //! ## Sharded execution
 //!
-//! [`MapReduce::run_sharded`] additionally moves every task's inputs and
-//! outputs across the configured [`TransportKind`] as checksummed
-//! [`TaskEnvelope`]s (a dropped or corrupted envelope counts as a failed
-//! attempt and retries), consults a [`WaveRecovery`] hook so completed
-//! reduce tasks resume from recorded outputs, and *parks* exhausted
-//! reduce tasks instead of failing — the caller routes them to the
-//! dead-letter queue and decides whether coverage allows a degraded
-//! result.
+//! Every task's inputs and outputs cross the configured [`TransportKind`]
+//! as checksummed [`TaskEnvelope`]s (a dropped or corrupted envelope
+//! counts as a failed attempt and retries). With a [`WaveRecovery`] hook,
+//! completed reduce tasks resume from recorded outputs and exhausted
+//! reduce tasks are *parked* instead of failing — the caller routes them
+//! to the dead-letter queue and decides whether coverage allows a
+//! degraded result.
 
 use crate::scheduler::{run_wave, DeadTask, WaveSpec};
 use crate::transport::{ChannelTransport, TaskEnvelope, Transport, TransportError, TransportKind};
@@ -67,7 +67,7 @@ pub struct MapReduce {
 }
 
 /// What a previous run already decided about one reduce task.
-pub(crate) enum TaskState {
+pub enum TaskState {
     /// Never attempted (or unknown): run it.
     Fresh,
     /// Completed earlier; the serialized output to resume from.
@@ -77,11 +77,14 @@ pub(crate) enum TaskState {
     Dead { requeued: bool },
 }
 
-/// Resume/dead-letter hooks consulted by [`MapReduce::run_sharded`] for
-/// the reduce wave of one phase. Implementations persist to the job
-/// manifest and dead-letter queue; callbacks may arrive from any worker
-/// thread, but at most once per task and only for accepted results.
-pub(crate) trait WaveRecovery: Sync {
+/// Resume/dead-letter hooks consulted by [`MapReduce::run`] for the
+/// reduce wave of one job. Implementations persist to the job manifest
+/// and dead-letter queue; callbacks may arrive from any worker thread,
+/// but at most once per task and only for accepted results.
+///
+/// `pub` only because [`JobSpec`] names it; the crate does not re-export
+/// it, so D-M2TD's manifest wiring stays the one implementation.
+pub trait WaveRecovery: Sync {
     /// The phase is about to schedule `total` reduce tasks.
     fn begin_phase(&self, total: u64);
     /// What a previous run recorded for this task.
@@ -95,8 +98,8 @@ pub(crate) trait WaveRecovery: Sync {
     fn record_revived(&self, task: u64);
 }
 
-/// Parameters of one sharded run.
-pub(crate) struct ShardedRun<'a> {
+/// Parameters of one job run by [`MapReduce::run`].
+pub struct JobSpec<'a> {
     /// Job id (fault-plan scope and envelope identity).
     pub job: u64,
     /// D-M2TD phase number stamped into envelopes.
@@ -105,13 +108,14 @@ pub(crate) struct ShardedRun<'a> {
     pub plan: &'a FaultPlan,
     /// Retry/backoff/speculation policy.
     pub policy: &'a RetryPolicy,
-    /// Resume and dead-letter hooks; `None` restores fail-fast behavior.
+    /// Resume and dead-letter hooks; `None` fails the job on the first
+    /// exhausted task.
     pub recovery: Option<&'a dyn WaveRecovery>,
 }
 
-/// What a sharded run produced.
+/// What a job produced.
 #[derive(Debug)]
-pub(crate) struct ShardedOutput<R> {
+pub struct JobOutput<R> {
     /// `(task, output)` for every surviving reduce task — freshly run or
     /// resumed from the manifest — ascending by task id.
     pub outputs: Vec<(u64, R)>,
@@ -133,11 +137,9 @@ pub(crate) struct ShardedOutput<R> {
 /// and decodes the survivor. The checksum guarantees wire damage surfaces
 /// here as an error (a retryable failed attempt), never as silent data
 /// corruption downstream.
-#[allow(clippy::too_many_arguments)] // the envelope identity header, spelled out
 fn ship<T: ToJson, U: FromJson>(
     transport: &ChannelTransport,
-    job: u64,
-    phase: u8,
+    spec: &JobSpec<'_>,
     kind: TaskKind,
     task: u64,
     attempt: u32,
@@ -145,8 +147,8 @@ fn ship<T: ToJson, U: FromJson>(
     value: &T,
 ) -> Result<U, TransportError> {
     let envelope = TaskEnvelope::new(
-        job,
-        phase,
+        spec.job,
+        spec.phase,
         kind,
         task,
         attempt,
@@ -221,157 +223,54 @@ impl MapReduce {
     }
 
     /// Runs a job: `map` turns each input into key/value pairs; values are
-    /// grouped by key (shuffle); `reduce` folds each group. Returns the
-    /// reduce outputs in ascending key order plus shuffle statistics.
+    /// grouped by key (shuffle); `reduce` folds each group, one reduce
+    /// task per key in ascending key order.
     ///
-    /// ```
-    /// use m2td_dist::MapReduce;
-    ///
-    /// let engine = MapReduce::new(4);
-    /// let (sums, stats) = engine.run(
-    ///     vec![1u32, 2, 3, 4, 5],
-    ///     |x| vec![(x % 2, x)],                    // key by parity
-    ///     |key, values| (*key, values.iter().sum::<u32>()),
-    /// );
-    /// assert_eq!(sums, vec![(0, 6), (1, 9)]);
-    /// assert_eq!(stats.reduce_groups, 2);
-    /// ```
-    pub fn run<I, K, V, R, M, F>(&self, inputs: Vec<I>, map: M, reduce: F) -> (Vec<R>, ShuffleStats)
-    where
-        I: Send + Sync + Clone,
-        K: Ord + Send + Sync,
-        V: Send + Sync + Clone,
-        R: Send,
-        M: Fn(I) -> Vec<(K, V)> + Sync,
-        F: Fn(&K, Vec<V>) -> R + Sync,
-    {
-        let (out, stats, _) = self
-            .run_with_faults(
-                0,
-                inputs,
-                map,
-                reduce,
-                &FaultPlan::none(),
-                &RetryPolicy::default(),
-            )
-            .expect("a fault-free job cannot exhaust its retry budget");
-        (out, stats)
-    }
-
-    /// [`MapReduce::run`] under a fault plan: map chunks and reduce groups
-    /// are the retryable task units, identified as `(job, kind, index)`.
-    /// Returns the reduce outputs, shuffle statistics, and the execution
-    /// counters accumulated across both task phases; fails with
-    /// [`FaultError::RetryExhausted`] when a task is killed on every
-    /// attempt the `policy` allows.
+    /// Map chunks and reduce groups are the retryable task units,
+    /// identified as `(job, kind, index)` and run under the spec's fault
+    /// plan and retry policy. Task inputs and outputs cross the configured
+    /// transport as checksummed envelopes (both legs of every attempt).
+    /// With a recovery hook, completed reduce tasks resume from its
+    /// recorded outputs and exhausted reduce tasks are parked for the
+    /// dead-letter queue instead of failing the job; map exhaustion always
+    /// fails, because without its pairs the shuffle groups are wrong for
+    /// every reducer.
     ///
     /// Counters are deterministic for a given `(plan, policy, job, W)` —
     /// fault decisions depend only on task identity, and per-task deltas
     /// are merged in task order, so the physical thread count never shows
     /// through.
-    pub fn run_with_faults<I, K, V, R, M, F>(
+    ///
+    /// ```
+    /// use m2td_dist::{JobSpec, MapReduce};
+    /// use m2td_fault::{FaultPlan, RetryPolicy};
+    ///
+    /// let spec = JobSpec {
+    ///     job: 0,
+    ///     phase: 0,
+    ///     plan: &FaultPlan::none(),
+    ///     policy: &RetryPolicy::default(),
+    ///     recovery: None,
+    /// };
+    /// let out = MapReduce::new(4)
+    ///     .run(
+    ///         &spec,
+    ///         vec![1u32, 2, 3, 4, 5],
+    ///         |x| vec![(x % 2, x)], // key by parity
+    ///         |key, values| (*key, values.iter().sum::<u32>()),
+    ///     )
+    ///     .unwrap();
+    /// // (reduce task, output) pairs.
+    /// assert_eq!(out.outputs, vec![(0, (0, 6)), (1, (1, 9))]);
+    /// assert_eq!(out.stats.reduce_groups, 2);
+    /// ```
+    pub fn run<I, K, V, R, M, F>(
         &self,
-        job: u64,
+        spec: &JobSpec<'_>,
         inputs: Vec<I>,
         map: M,
         reduce: F,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-    ) -> Result<(Vec<R>, ShuffleStats, TaskCounters), FaultError>
-    where
-        I: Send + Sync + Clone,
-        K: Ord + Send + Sync,
-        V: Send + Sync + Clone,
-        R: Send,
-        M: Fn(I) -> Vec<(K, V)> + Sync,
-        F: Fn(&K, Vec<V>) -> R + Sync,
-    {
-        let _span = m2td_obs::span!("mapreduce.job", job = job);
-        let map_records = inputs.len();
-        let mut totals = TaskCounters::default();
-
-        // ---- Map phase: chunk inputs, one task per chunk. ----
-        let chunks = chunk_inputs(inputs, self.workers);
-        let map_tasks: Vec<u64> = (0..chunks.len() as u64).collect();
-        let map_wave = run_wave(
-            &WaveSpec {
-                job,
-                kind: TaskKind::Map,
-                workers: self.workers,
-                plan,
-                policy,
-                park_exhausted: false,
-            },
-            &map_tasks,
-            |t, _attempt| {
-                let mut pairs = Vec::new();
-                for item in chunks[t as usize].iter().cloned() {
-                    pairs.extend(map(item));
-                }
-                Ok::<_, TransportError>(pairs)
-            },
-            |_, _| {},
-        )?;
-        totals.absorb(&map_wave.counters);
-
-        // ---- Shuffle: chunk order = input order, group by key. ----
-        let mut shuffled_pairs = 0;
-        let mut groups: BTreeMap<K, Vec<V>> = BTreeMap::new();
-        for (_, pairs) in map_wave.outputs {
-            for (k, v) in pairs {
-                shuffled_pairs += 1;
-                groups.entry(k).or_default().push(v);
-            }
-        }
-        let reduce_groups = groups.len();
-
-        // ---- Reduce phase: one task per key group, in key order. ----
-        let indexed: Vec<(K, Vec<V>)> = groups.into_iter().collect();
-        let reduce_tasks: Vec<u64> = (0..indexed.len() as u64).collect();
-        let reduce_wave = run_wave(
-            &WaveSpec {
-                job,
-                kind: TaskKind::Reduce,
-                workers: self.workers,
-                plan,
-                policy,
-                park_exhausted: false,
-            },
-            &reduce_tasks,
-            |t, _attempt| {
-                let (k, vs) = &indexed[t as usize];
-                Ok::<_, TransportError>(reduce(k, vs.clone()))
-            },
-            |_, _| {},
-        )?;
-        totals.absorb(&reduce_wave.counters);
-        mirror_counters(&totals);
-
-        Ok((
-            reduce_wave.outputs.into_iter().map(|(_, r)| r).collect(),
-            ShuffleStats {
-                map_records,
-                shuffled_pairs,
-                reduce_groups,
-            },
-            totals,
-        ))
-    }
-
-    /// [`MapReduce::run_with_faults`] with the full distribution story:
-    /// task inputs and outputs cross the configured transport as
-    /// checksummed envelopes (both legs of every attempt), completed
-    /// reduce tasks resume from the recovery hook's recorded outputs,
-    /// and exhausted reduce tasks are parked for the dead-letter queue
-    /// instead of failing the job (map exhaustion still fails — without
-    /// its pairs the shuffle groups are wrong for every reducer).
-    pub(crate) fn run_sharded<I, K, V, R, M, F>(
-        &self,
-        run: &ShardedRun<'_>,
-        inputs: Vec<I>,
-        map: M,
-        reduce: F,
-    ) -> Result<ShardedOutput<R>, FaultError>
+    ) -> Result<JobOutput<R>, FaultError>
     where
         I: Send + Sync + Clone + ToJson + FromJson,
         K: Ord + Send + Sync + Clone + ToJson + FromJson,
@@ -380,13 +279,11 @@ impl MapReduce {
         M: Fn(I) -> Vec<(K, V)> + Sync,
         F: Fn(&K, Vec<V>) -> R + Sync,
     {
-        // Same span label as run_with_faults: telemetry consumers see one
-        // job taxonomy whichever execution path ran.
-        let _span = m2td_obs::span!("mapreduce.job", job = run.job);
+        let _span = m2td_obs::span!("mapreduce.job", job = spec.job);
         let map_records = inputs.len();
         let mut totals = TaskCounters::default();
         let transport = match self.transport {
-            TransportKind::Channel => Some(ChannelTransport::new(*run.plan)),
+            TransportKind::Channel => Some(ChannelTransport::new(*spec.plan)),
             TransportKind::Direct => None,
         };
 
@@ -395,18 +292,18 @@ impl MapReduce {
         let map_tasks: Vec<u64> = (0..chunks.len() as u64).collect();
         let map_wave = run_wave(
             &WaveSpec {
-                job: run.job,
+                job: spec.job,
                 kind: TaskKind::Map,
                 workers: self.workers,
-                plan: run.plan,
-                policy: run.policy,
+                plan: spec.plan,
+                policy: spec.policy,
                 park_exhausted: false,
             },
             &map_tasks,
             |t, attempt| {
                 let chunk = &chunks[t as usize];
                 let input: Vec<I> = match &transport {
-                    Some(ch) => ship(ch, run.job, run.phase, TaskKind::Map, t, attempt, 0, chunk)?,
+                    Some(ch) => ship(ch, spec, TaskKind::Map, t, attempt, 0, chunk)?,
                     None => chunk.clone(),
                 };
                 let mut pairs: Vec<(K, V)> = Vec::new();
@@ -414,7 +311,7 @@ impl MapReduce {
                     pairs.extend(map(item));
                 }
                 match &transport {
-                    Some(ch) => ship(ch, run.job, run.phase, TaskKind::Map, t, attempt, 1, &pairs),
+                    Some(ch) => ship(ch, spec, TaskKind::Map, t, attempt, 1, &pairs),
                     None => Ok(pairs),
                 }
             },
@@ -440,7 +337,7 @@ impl MapReduce {
         // ---- Triage reduce tasks against the previous run's record. ----
         let indexed: Vec<(K, Vec<V>)> = groups.into_iter().collect();
         let total = indexed.len() as u64;
-        if let Some(rec) = run.recovery {
+        if let Some(rec) = spec.recovery {
             rec.begin_phase(total);
         }
         let mut to_run: Vec<u64> = Vec::new();
@@ -448,7 +345,7 @@ impl MapReduce {
         let mut skipped_dead: Vec<u64> = Vec::new();
         let mut revived: BTreeSet<u64> = BTreeSet::new();
         for t in 0..total {
-            match run.recovery.map(|r| r.task_state(t)) {
+            match spec.recovery.map(|r| r.task_state(t)) {
                 None | Some(TaskState::Fresh) => to_run.push(t),
                 Some(TaskState::Completed(doc)) => match R::from_json(&doc) {
                     Ok(r) => resumed_outputs.push((t, r)),
@@ -472,12 +369,12 @@ impl MapReduce {
         let revived_ref = &revived;
         let reduce_wave = run_wave(
             &WaveSpec {
-                job: run.job,
+                job: spec.job,
                 kind: TaskKind::Reduce,
                 workers: self.workers,
-                plan: run.plan,
-                policy: run.policy,
-                park_exhausted: run.recovery.is_some(),
+                plan: spec.plan,
+                policy: spec.policy,
+                park_exhausted: spec.recovery.is_some(),
             },
             &to_run,
             |t, attempt| {
@@ -485,27 +382,18 @@ impl MapReduce {
                 let (k, vs): (K, Vec<V>) = match &transport {
                     Some(ch) => {
                         let input = (k.clone(), vs.clone());
-                        ship(
-                            ch,
-                            run.job,
-                            run.phase,
-                            TaskKind::Reduce,
-                            t,
-                            attempt,
-                            0,
-                            &input,
-                        )?
+                        ship(ch, spec, TaskKind::Reduce, t, attempt, 0, &input)?
                     }
                     None => (k.clone(), vs.clone()),
                 };
                 let r = reduce(&k, vs);
                 match &transport {
-                    Some(ch) => ship(ch, run.job, run.phase, TaskKind::Reduce, t, attempt, 1, &r),
+                    Some(ch) => ship(ch, spec, TaskKind::Reduce, t, attempt, 1, &r),
                     None => Ok(r),
                 }
             },
             |t, out: &R| {
-                if let Some(rec) = run.recovery {
+                if let Some(rec) = spec.recovery {
                     rec.record_complete(t, &out.to_json());
                     if revived_ref.contains(&t) {
                         rec.record_revived(t);
@@ -517,13 +405,13 @@ impl MapReduce {
         mirror_counters(&totals);
 
         // ---- Park this run's corpses. ----
-        if let Some(rec) = run.recovery {
+        if let Some(rec) = spec.recovery {
             for d in &reduce_wave.dead {
                 let (k, vs) = &indexed[d.task as usize];
                 let payload = (k.clone(), vs.clone()).to_json().to_compact();
                 let envelope = TaskEnvelope::new(
-                    run.job,
-                    run.phase,
+                    spec.job,
+                    spec.phase,
                     TaskKind::Reduce,
                     d.task,
                     d.attempts,
@@ -536,7 +424,7 @@ impl MapReduce {
         let mut outputs = reduce_wave.outputs;
         outputs.extend(resumed_outputs);
         outputs.sort_by_key(|&(t, _)| t);
-        Ok(ShardedOutput {
+        Ok(JobOutput {
             outputs,
             stats,
             counters: totals,
@@ -554,13 +442,50 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
+    /// Job 7, phase 1 under `plan` and `policy`.
+    fn spec<'a>(
+        plan: &'a FaultPlan,
+        policy: &'a RetryPolicy,
+        recovery: Option<&'a dyn WaveRecovery>,
+    ) -> JobSpec<'a> {
+        JobSpec {
+            job: 7,
+            phase: 1,
+            plan,
+            policy,
+            recovery,
+        }
+    }
+
+    /// Runs `map`/`reduce` fault-free with no recovery hook, returning the
+    /// reduce outputs (task ids dropped) and the shuffle statistics.
+    fn run_clean<I, K, V, R>(
+        engine: &MapReduce,
+        inputs: Vec<I>,
+        map: impl Fn(I) -> Vec<(K, V)> + Sync,
+        reduce: impl Fn(&K, Vec<V>) -> R + Sync,
+    ) -> (Vec<R>, ShuffleStats)
+    where
+        I: Send + Sync + Clone + ToJson + FromJson,
+        K: Ord + Send + Sync + Clone + ToJson + FromJson,
+        V: Send + Sync + Clone + ToJson + FromJson,
+        R: Send + ToJson + FromJson,
+    {
+        let (plan, policy) = (FaultPlan::none(), RetryPolicy::default());
+        let out = engine
+            .run(&spec(&plan, &policy, None), inputs, map, reduce)
+            .unwrap();
+        (out.outputs.into_iter().map(|(_, r)| r).collect(), out.stats)
+    }
+
     #[test]
     fn word_count_style_job() {
         let engine = MapReduce::new(4);
-        let docs = vec!["a b a", "b c", "a"];
-        let (counts, stats) = engine.run(
+        let docs: Vec<String> = ["a b a", "b c", "a"].map(String::from).to_vec();
+        let (counts, stats) = run_clean(
+            &engine,
             docs,
-            |doc: &str| doc.split(' ').map(|w| (w.to_string(), 1usize)).collect(),
+            |doc: String| doc.split(' ').map(|w| (w.to_string(), 1usize)).collect(),
             |k, vs| (k.clone(), vs.len()),
         );
         assert_eq!(
@@ -580,7 +505,8 @@ mod tests {
     fn results_independent_of_worker_count() {
         let inputs: Vec<u64> = (0..500).collect();
         let job = |w: usize| {
-            MapReduce::new(w).run(
+            run_clean(
+                &MapReduce::new(w),
                 inputs.clone(),
                 |x: u64| vec![(x % 7, x)],
                 |k, vs| (*k, vs.iter().sum::<u64>(), vs.len()),
@@ -599,7 +525,8 @@ mod tests {
         // The pool cap changes physical threads, never results.
         let inputs: Vec<u64> = (0..300).collect();
         let job = || {
-            MapReduce::new(4).run(
+            run_clean(
+                &MapReduce::new(4),
                 inputs.clone(),
                 |x: u64| vec![(x % 5, x * x)],
                 |k, vs| (*k, vs.iter().sum::<u64>()),
@@ -617,7 +544,7 @@ mod tests {
     fn value_order_within_group_is_input_order() {
         let engine = MapReduce::new(5);
         let inputs: Vec<usize> = (0..100).collect();
-        let (groups, _) = engine.run(inputs, |x: usize| vec![(x % 3, x)], |_k, vs| vs);
+        let (groups, _) = run_clean(&engine, inputs, |x: usize| vec![(x % 3, x)], |_k, vs| vs);
         for g in &groups {
             assert!(
                 g.windows(2).all(|w| w[0] < w[1]),
@@ -629,7 +556,8 @@ mod tests {
     #[test]
     fn empty_input() {
         let engine = MapReduce::new(3);
-        let (out, stats) = engine.run(
+        let (out, stats) = run_clean(
+            &engine,
             Vec::<u32>::new(),
             |x: u32| vec![(x, x)],
             |_k, vs: Vec<u32>| vs.len(),
@@ -642,14 +570,20 @@ mod tests {
     fn zero_workers_clamped_to_one() {
         let engine = MapReduce::new(0);
         assert_eq!(engine.workers(), 1);
-        let (out, _) = engine.run(vec![1u8, 2], |x: u8| vec![((), x)], |_, vs: Vec<u8>| vs);
+        let (out, _) = run_clean(
+            &engine,
+            vec![1u8, 2],
+            |x: u8| vec![(0u8, x)],
+            |_, vs: Vec<u8>| vs,
+        );
         assert_eq!(out, vec![vec![1, 2]]);
     }
 
     #[test]
     fn map_can_emit_multiple_keys() {
         let engine = MapReduce::new(2);
-        let (out, stats) = engine.run(
+        let (out, stats) = run_clean(
+            &engine,
             vec![10u32, 20],
             |x: u32| vec![(0u8, x), (1u8, x * 2)],
             |k, vs: Vec<u32>| (*k, vs.iter().sum::<u32>()),
@@ -658,36 +592,31 @@ mod tests {
         assert_eq!(stats.shuffled_pairs, 4);
     }
 
-    type SummingRun = (Vec<(u64, u64)>, ShuffleStats, TaskCounters);
-
-    fn summing_job(
+    fn summing(
         engine: &MapReduce,
         plan: &FaultPlan,
         policy: &RetryPolicy,
-    ) -> Result<SummingRun, FaultError> {
-        engine.run_with_faults(
-            7,
+        recovery: Option<&dyn WaveRecovery>,
+    ) -> Result<JobOutput<(u64, u64)>, FaultError> {
+        engine.run(
+            &spec(plan, policy, recovery),
             (0..400u64).collect(),
             |x: u64| vec![(x % 5, x)],
             |k, vs| (*k, vs.iter().sum::<u64>()),
-            plan,
-            policy,
         )
     }
 
     #[test]
     fn faulty_run_matches_fault_free_run() {
         let engine = MapReduce::new(4);
-        let (clean, clean_stats, clean_counters) =
-            summing_job(&engine, &FaultPlan::none(), &RetryPolicy::default()).unwrap();
-        assert_eq!(clean_counters.kills(), 0);
+        let clean = summing(&engine, &FaultPlan::none(), &RetryPolicy::default(), None).unwrap();
+        assert_eq!(clean.counters.kills(), 0);
         for seed in [1, 2, 3] {
             let plan = FaultPlan::new(seed, 0.4, 0.3, 20.0);
-            let (faulty, stats, counters) =
-                summing_job(&engine, &plan, &RetryPolicy::default()).unwrap();
-            assert_eq!(clean, faulty, "seed {seed} changed results");
-            assert_eq!(clean_stats, stats);
-            assert!(counters.attempts() >= clean_counters.attempts());
+            let faulty = summing(&engine, &plan, &RetryPolicy::default(), None).unwrap();
+            assert_eq!(clean.outputs, faulty.outputs, "seed {seed} changed results");
+            assert_eq!(clean.stats, faulty.stats);
+            assert!(faulty.counters.attempts() >= clean.counters.attempts());
         }
     }
 
@@ -696,12 +625,14 @@ mod tests {
         let engine = MapReduce::new(4);
         let plan = FaultPlan::new(5, 0.5, 0.4, 30.0);
         m2td_par::set_max_threads(1);
-        let serial = summing_job(&engine, &plan, &RetryPolicy::default()).unwrap();
+        let serial = summing(&engine, &plan, &RetryPolicy::default(), None).unwrap();
         m2td_par::set_max_threads(8);
-        let wide = summing_job(&engine, &plan, &RetryPolicy::default()).unwrap();
+        let wide = summing(&engine, &plan, &RetryPolicy::default(), None).unwrap();
         m2td_par::set_max_threads(0);
-        assert_eq!(serial, wide);
-        assert!(serial.2.kills() > 0, "plan injected no kills");
+        assert_eq!(serial.outputs, wide.outputs);
+        assert_eq!(serial.stats, wide.stats);
+        assert_eq!(serial.counters, wide.counters);
+        assert!(serial.counters.kills() > 0, "plan injected no kills");
     }
 
     #[test]
@@ -709,9 +640,10 @@ mod tests {
         let engine = MapReduce::new(2);
         // Kill every first attempt; the cap lets attempt 1 through.
         let plan = FaultPlan::new(1, 1.0, 0.0, 0.0).with_kill_cap(1);
-        let (out, _, counters) = summing_job(&engine, &plan, &RetryPolicy::default()).unwrap();
-        assert_eq!(out.len(), 5);
+        let out = summing(&engine, &plan, &RetryPolicy::default(), None).unwrap();
+        assert_eq!(out.outputs.len(), 5);
         // 2 map chunks + 5 reduce groups, each killed exactly once.
+        let counters = out.counters;
         assert_eq!(counters.map_kills, 2);
         assert_eq!(counters.reduce_kills, 5);
         assert_eq!(counters.map_attempts, 4);
@@ -723,7 +655,7 @@ mod tests {
     fn exhausted_retry_budget_is_an_error() {
         let engine = MapReduce::new(2);
         let plan = FaultPlan::new(1, 1.0, 0.0, 0.0).with_kill_cap(u32::MAX);
-        let err = summing_job(&engine, &plan, &RetryPolicy::with_max_attempts(3)).unwrap_err();
+        let err = summing(&engine, &plan, &RetryPolicy::with_max_attempts(3), None).unwrap_err();
         match err {
             FaultError::RetryExhausted { attempts, .. } => assert_eq!(attempts, 3),
         }
@@ -734,8 +666,9 @@ mod tests {
         let engine = MapReduce::new(2);
         // Every attempt straggles 60s; default policy speculates after 5s.
         let plan = FaultPlan::new(2, 0.0, 1.0, 60.0);
-        let (out, _, counters) = summing_job(&engine, &plan, &RetryPolicy::default()).unwrap();
-        assert_eq!(out.len(), 5);
+        let out = summing(&engine, &plan, &RetryPolicy::default(), None).unwrap();
+        assert_eq!(out.outputs.len(), 5);
+        let counters = out.counters;
         assert_eq!(counters.stragglers, 7); // 2 map + 5 reduce tasks
         assert_eq!(counters.speculative_launches, 7);
         // Charged delay is capped at the speculation threshold.
@@ -747,30 +680,8 @@ mod tests {
         let engine = MapReduce::new(2);
         let plan = FaultPlan::new(3, 1.0, 0.0, 0.0).in_job(99);
         // Job 7 is untouched even though the kill rate is 1.
-        let (_, _, counters) = summing_job(&engine, &plan, &RetryPolicy::no_retries()).unwrap();
-        assert_eq!(counters.kills(), 0);
-    }
-
-    // ---- Sharded path. ----
-
-    fn sharded_summing(
-        engine: &MapReduce,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        recovery: Option<&dyn WaveRecovery>,
-    ) -> Result<ShardedOutput<(u64, u64)>, FaultError> {
-        engine.run_sharded(
-            &ShardedRun {
-                job: 7,
-                phase: 1,
-                plan,
-                policy,
-                recovery,
-            },
-            (0..400u64).collect(),
-            |x: u64| vec![(x % 5, x)],
-            |k, vs| (*k, vs.iter().sum::<u64>()),
-        )
+        let out = summing(&engine, &plan, &RetryPolicy::no_retries(), None).unwrap();
+        assert_eq!(out.counters.kills(), 0);
     }
 
     #[test]
@@ -778,8 +689,8 @@ mod tests {
         let direct = MapReduce::new(3).with_transport(TransportKind::Direct);
         let channel = MapReduce::new(3).with_transport(TransportKind::Channel);
         let plan = FaultPlan::new(9, 0.3, 0.2, 20.0);
-        let a = sharded_summing(&direct, &plan, &RetryPolicy::default(), None).unwrap();
-        let b = sharded_summing(&channel, &plan, &RetryPolicy::default(), None).unwrap();
+        let a = summing(&direct, &plan, &RetryPolicy::default(), None).unwrap();
+        let b = summing(&channel, &plan, &RetryPolicy::default(), None).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.stats, b.stats);
     }
@@ -787,10 +698,9 @@ mod tests {
     #[test]
     fn wire_corruption_is_retried_without_changing_results() {
         let channel = MapReduce::new(2).with_transport(TransportKind::Channel);
-        let clean =
-            sharded_summing(&channel, &FaultPlan::none(), &RetryPolicy::default(), None).unwrap();
+        let clean = summing(&channel, &FaultPlan::none(), &RetryPolicy::default(), None).unwrap();
         let noisy_plan = FaultPlan::none().with_xport_corrupt_rate(0.4);
-        let noisy = sharded_summing(&channel, &noisy_plan, &RetryPolicy::default(), None).unwrap();
+        let noisy = summing(&channel, &noisy_plan, &RetryPolicy::default(), None).unwrap();
         assert_eq!(clean.outputs, noisy.outputs);
         assert!(
             noisy.counters.xport_corruptions > 0,
@@ -853,7 +763,7 @@ mod tests {
 
         // Run 1: task 2's every attempt is killed — parked, not fatal.
         let doomed = FaultPlan::none().in_job(7).with_doom_mask(1 << 2);
-        let out = sharded_summing(&engine, &doomed, &policy, Some(&recovery)).unwrap();
+        let out = summing(&engine, &doomed, &policy, Some(&recovery)).unwrap();
         assert_eq!(out.reduce_tasks, 5);
         assert_eq!(out.dead.len(), 1);
         assert_eq!(out.dead[0].task, 2);
@@ -868,14 +778,8 @@ mod tests {
         // resumed from their recorded outputs without re-running.
         let reduce_calls = AtomicUsize::new(0);
         let out2 = engine
-            .run_sharded(
-                &ShardedRun {
-                    job: 7,
-                    phase: 1,
-                    plan: &FaultPlan::none(),
-                    policy: &policy,
-                    recovery: Some(&recovery),
-                },
+            .run(
+                &spec(&FaultPlan::none(), &policy, Some(&recovery)),
                 (0..400u64).collect(),
                 |x: u64| vec![(x % 5, x)],
                 |k, vs| {
@@ -891,14 +795,14 @@ mod tests {
 
         // Run 3: requeued and no longer doomed — revived and drained.
         recovery.state.lock().unwrap().dead.insert(2, true);
-        let out3 = sharded_summing(&engine, &FaultPlan::none(), &policy, Some(&recovery)).unwrap();
+        let out3 = summing(&engine, &FaultPlan::none(), &policy, Some(&recovery)).unwrap();
         assert_eq!(out3.resumed, 4);
         assert!(out3.skipped_dead.is_empty() && out3.dead.is_empty());
         assert_eq!(out3.outputs.len(), 5);
         assert_eq!(recovery.state.lock().unwrap().revived, vec![2]);
 
         // The full set matches a fresh, fault-free run bitwise.
-        let fresh = sharded_summing(&engine, &FaultPlan::none(), &policy, None).unwrap();
+        let fresh = summing(&engine, &FaultPlan::none(), &policy, None).unwrap();
         assert_eq!(out3.outputs, fresh.outputs);
     }
 
@@ -909,7 +813,7 @@ mod tests {
             .with_kill_cap(u32::MAX)
             .in_job(7);
         let recovery = MemRecovery::default();
-        let err = sharded_summing(
+        let err = summing(
             &engine,
             &plan,
             &RetryPolicy::with_max_attempts(2),

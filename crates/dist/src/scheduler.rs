@@ -58,7 +58,7 @@ pub(crate) struct WaveSpec<'a> {
 
 /// A task that exhausted its retry budget in a parking wave.
 #[derive(Debug, Clone)]
-pub(crate) struct DeadTask {
+pub struct DeadTask {
     /// Task id within the job.
     pub task: u64,
     /// Attempts consumed (= the policy budget).

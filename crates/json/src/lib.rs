@@ -15,6 +15,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a damaged or hostile
+/// `[[[[…` document would overflow the stack and abort the process. The
+/// deepest document the workspace writes (a job manifest holding phase-1
+/// outputs) nests about ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -55,6 +62,11 @@ pub enum JsonError {
     MissingKey(String),
     /// Domain-level validation failed after structurally valid JSON.
     Invalid(String),
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the first bracket past the limit.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for JsonError {
@@ -68,6 +80,10 @@ impl fmt::Display for JsonError {
             }
             JsonError::MissingKey(k) => write!(f, "JSON object missing key `{k}`"),
             JsonError::Invalid(m) => write!(f, "invalid JSON document: {m}"),
+            JsonError::TooDeep { offset } => write!(
+                f,
+                "JSON nesting exceeds {MAX_DEPTH} levels at byte {offset}"
+            ),
         }
     }
 }
@@ -80,6 +96,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -315,6 +332,8 @@ fn write_seq(
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -359,12 +378,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::TooDeep { offset: self.pos });
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -794,6 +828,28 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let hostile = "[".repeat(100_000);
+        assert_eq!(
+            Json::parse(&hostile),
+            Err(JsonError::TooDeep { offset: MAX_DEPTH })
+        );
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(matches!(
+            Json::parse(&objects),
+            Err(JsonError::TooDeep { .. })
+        ));
+        // Exactly MAX_DEPTH levels still parse.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let too_deep = format!("[{deepest}]");
+        assert!(matches!(
+            Json::parse(&too_deep),
+            Err(JsonError::TooDeep { .. })
+        ));
     }
 
     #[test]

@@ -22,7 +22,6 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-use std::time::{Duration, Instant};
 
 /// Engine-level configuration shared by every registered ensemble.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,20 +41,15 @@ pub struct ServeConfig {
     /// is refused with [`ServeError::Overloaded`] — explicit backpressure
     /// instead of an unbounded staleness backlog. `0` disables the bound.
     pub absorb_queue_cap: usize,
-    /// Per-query time budget. A query (or a cell within a batch query)
-    /// that exceeds it is shed with [`ServeError::DeadlineExceeded`],
-    /// counted in `serve.shed_queries`. `None` disables shedding.
-    pub query_deadline: Option<Duration>,
 }
 
 impl ServeConfig {
     /// Defaults: refresh every 64 absorbs, 4096 cached cells per model,
-    /// no absorb bound, no query deadline.
+    /// no absorb bound.
     pub const DEFAULT: ServeConfig = ServeConfig {
         staleness_threshold: 64,
         cache_capacity: 4096,
         absorb_queue_cap: 0,
-        query_deadline: None,
     };
 
     /// Replaces the staleness threshold.
@@ -73,12 +67,6 @@ impl ServeConfig {
     /// Bounds the per-ensemble absorb backlog (`0` = unbounded).
     pub fn with_absorb_queue_cap(mut self, cap: usize) -> Self {
         self.absorb_queue_cap = cap;
-        self
-    }
-
-    /// Sets the per-query deadline budget.
-    pub fn with_query_deadline(mut self, deadline: Duration) -> Self {
-        self.query_deadline = Some(deadline);
         self
     }
 }
@@ -122,11 +110,6 @@ pub enum ServeError {
         /// The configured bound.
         cap: usize,
     },
-    /// The query exceeded its configured deadline budget and was shed.
-    DeadlineExceeded {
-        /// The ensemble name.
-        name: String,
-    },
     /// The engine recovered into read-only degraded mode (unrecoverable
     /// store corruption: operations were durably acknowledged but can no
     /// longer be replayed). Queries keep serving the recovered state;
@@ -168,12 +151,6 @@ impl fmt::Display for ServeError {
                 f,
                 "ensemble '{name}' is overloaded: {pending} pending absorbs at cap {cap}"
             ),
-            ServeError::DeadlineExceeded { name } => {
-                write!(
-                    f,
-                    "query against '{name}' exceeded its deadline and was shed"
-                )
-            }
             ServeError::Degraded => write!(
                 f,
                 "engine is in read-only degraded mode (unrecoverable store corruption)"
@@ -861,55 +838,28 @@ impl ServeEngine {
         })
     }
 
-    /// Deadline check against a query's entry timestamp; `>=` so a
-    /// zero-duration deadline sheds deterministically (used by tests).
-    fn check_deadline(&self, name: &str, start: Instant) -> Result<()> {
-        if let Some(deadline) = self.config.query_deadline {
-            if start.elapsed() >= deadline {
-                m2td_obs::counter_add("serve.shed_queries", 1);
-                return Err(ServeError::DeadlineExceeded {
-                    name: name.to_string(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Predicts one cell ("how would this unsimulated configuration
     /// behave?") against the published snapshot.
     pub fn query_cell(&self, name: &str, index: &[usize]) -> Result<f64> {
         let _span = m2td_obs::span!("serve.query");
-        let start = Instant::now();
         m2td_obs::counter_add("serve.cell_queries", 1);
-        self.check_deadline(name, start)?;
         self.model(name)?.cell(index)
     }
 
     /// Predicts a batch of cells against one snapshot fetch. All values
     /// come from the same model version even if a refresh lands mid-batch.
-    /// The deadline budget (if any) covers the whole batch: the first cell
-    /// past it sheds the remainder.
     pub fn query_cells(&self, name: &str, indices: &[Vec<usize>]) -> Result<Vec<f64>> {
         let _span = m2td_obs::span!("serve.query");
-        let start = Instant::now();
         m2td_obs::counter_add("serve.cell_queries", indices.len() as u64);
         let model = self.model(name)?;
-        indices
-            .iter()
-            .map(|idx| {
-                self.check_deadline(name, start)?;
-                model.cell(idx)
-            })
-            .collect()
+        indices.iter().map(|idx| model.cell(idx)).collect()
     }
 
     /// Predicts a whole mode-`mode` slice of the reconstruction (extent 1
     /// in `mode`) through the batched TTM path.
     pub fn query_slice(&self, name: &str, mode: usize, index: usize) -> Result<DenseTensor> {
         let _span = m2td_obs::span!("serve.query");
-        let start = Instant::now();
         m2td_obs::counter_add("serve.slice_queries", 1);
-        self.check_deadline(name, start)?;
         let model = self.model(name)?;
         let mut ws = self.slice_ws.lock().unwrap_or_else(|e| e.into_inner());
         model.slice(mode, index, &mut ws)
@@ -1729,32 +1679,6 @@ mod tests {
             Err(ServeError::Overloaded { .. })
         ));
         assert!(engine.query_cell("e", &[1, 1]).unwrap().is_finite());
-    }
-
-    #[test]
-    fn zero_deadline_sheds_every_query_kind() {
-        let engine = ServeEngine::new(
-            ServeConfig::default()
-                .with_staleness(0)
-                .with_query_deadline(Duration::ZERO),
-        );
-        engine.register("e", &[4, 4], &[2, 2]).unwrap();
-        fill(&engine, "e", &[4, 4]);
-        engine.refresh("e").unwrap();
-        assert!(matches!(
-            engine.query_cell("e", &[1, 1]),
-            Err(ServeError::DeadlineExceeded { .. })
-        ));
-        assert!(matches!(
-            engine.query_cells("e", &[vec![1, 1]]),
-            Err(ServeError::DeadlineExceeded { .. })
-        ));
-        assert!(matches!(
-            engine.query_slice("e", 0, 1),
-            Err(ServeError::DeadlineExceeded { .. })
-        ));
-        // Absorbs are writes, not queries — never shed by the deadline.
-        engine.absorb("e", &[0, 1], 1.0).unwrap();
     }
 
     #[test]

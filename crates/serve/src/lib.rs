@@ -50,9 +50,7 @@
 //! guessing ([`ServeError::Degraded`]).
 //!
 //! Admission control bounds the damage of overload: a per-ensemble cap on
-//! the unrefreshed absorb backlog ([`ServeError::Overloaded`]) and a
-//! per-query deadline budget ([`ServeError::DeadlineExceeded`], counted
-//! in `serve.shed_queries`).
+//! the unrefreshed absorb backlog ([`ServeError::Overloaded`]).
 //!
 //! ```
 //! use m2td_serve::{ServeConfig, ServeEngine};

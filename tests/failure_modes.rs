@@ -7,8 +7,7 @@ use m2td::core::{
     m2td_decompose, CoreError, M2tdOptions, SimFaultPolicy, Workbench, WorkbenchConfig,
 };
 use m2td::dist::{
-    d_m2td, d_m2td_fault_tolerant, DistError, FaultConfig, MapReduce, Phase3Strategy, PHASE1_JOB,
-    PHASE2_JOB, PHASE3_JOB,
+    d_m2td, DistError, DistJob, FaultConfig, MapReduce, PHASE1_JOB, PHASE2_JOB, PHASE3_JOB,
 };
 use m2td::fault::{FaultPlan, RetryPolicy};
 use m2td::sampling::{PfPartition, RandomSampling, SamplingScheme};
@@ -204,17 +203,12 @@ fn task_killed_in_each_phase_still_converges() {
             plan: FaultPlan::new(33, 0.9, 0.0, 0.0).in_job(job),
             policy: RetryPolicy::default(),
         };
-        let faulty = d_m2td_fault_tolerant(
-            &x1,
-            &x2,
-            1,
-            &ranks,
+        let faulty = DistJob {
             opts,
-            &engine,
-            Phase3Strategy::ChunkPartition,
-            &faults,
-            None,
-        )
+            faults,
+            ..DistJob::new(&x1, &x2, 1, &ranks)
+        }
+        .run(&engine)
         .unwrap_or_else(|e| panic!("phase-{job} faults should be survivable: {e}"));
         assert_eq!(
             clean.tucker.core.as_slice(),
@@ -253,17 +247,12 @@ fn straggler_is_rescued_by_speculation() {
         plan: FaultPlan::new(8, 0.0, 1.0, 60.0),
         policy,
     };
-    let faulty = d_m2td_fault_tolerant(
-        &x1,
-        &x2,
-        1,
-        &ranks,
+    let faulty = DistJob {
         opts,
-        &engine,
-        Phase3Strategy::ChunkPartition,
-        &faults,
-        None,
-    )
+        faults,
+        ..DistJob::new(&x1, &x2, 1, &ranks)
+    }
+    .run(&engine)
     .unwrap();
     let total = faulty.total_tasks();
     assert!(total.stragglers > 0, "no straggler injected");
@@ -290,17 +279,11 @@ fn exhausted_retry_budget_is_a_clean_dist_error() {
         plan: FaultPlan::new(4, 1.0, 0.0, 0.0).with_kill_cap(u32::MAX),
         policy: RetryPolicy::with_max_attempts(2),
     };
-    let err = d_m2td_fault_tolerant(
-        &x1,
-        &x2,
-        1,
-        &[3, 3, 3],
-        M2tdOptions::default(),
-        &MapReduce::new(2),
-        Phase3Strategy::ChunkPartition,
-        &faults,
-        None,
-    )
+    let err = DistJob {
+        faults,
+        ..DistJob::new(&x1, &x2, 1, &[3, 3, 3])
+    }
+    .run(&MapReduce::new(2))
     .unwrap_err();
     match &err {
         DistError::Exhausted(m2td::fault::FaultError::RetryExhausted { attempts, .. }) => {

@@ -11,9 +11,8 @@
 
 use m2td::core::M2tdOptions;
 use m2td::dist::{
-    d_m2td, d_m2td_fault_tolerant, d_m2td_resumable, CheckpointStore, DistDecomposition, DistError,
-    DlqStore, FaultConfig, JobRecovery, ManifestStore, MapReduce, Phase3Strategy, TransportKind,
-    PHASE3_JOB,
+    d_m2td, CheckpointStore, DistDecomposition, DistError, DistJob, DlqStore, FaultConfig,
+    JobRecovery, ManifestStore, MapReduce, Phase3Strategy, TransportKind, PHASE3_JOB,
 };
 use m2td::fault::{FaultPlan, RetryPolicy};
 use m2td::tensor::{Shape, SparseTensor};
@@ -94,17 +93,12 @@ fn fault_schedules_are_bitwise_deterministic_across_seeds_and_workers() {
                 plan: FaultPlan::new(seed, 0.5, 0.3, 20.0),
                 policy: RetryPolicy::default(),
             };
-            let run = d_m2td_fault_tolerant(
-                &x1,
-                &x2,
-                K,
-                &RANKS,
+            let run = DistJob {
                 opts,
-                &engine,
-                Phase3Strategy::ChunkPartition,
-                &faults,
-                None,
-            )
+                faults,
+                ..DistJob::new(&x1, &x2, K, &RANKS)
+            }
+            .run(&engine)
             .unwrap_or_else(|e| panic!("seed {seed}, {workers} workers: {e}"));
             assert_bitwise_equal(&reference, &run, &format!("seed {seed}, {workers} workers"));
             assert!(
@@ -114,17 +108,12 @@ fn fault_schedules_are_bitwise_deterministic_across_seeds_and_workers() {
             // The injected schedule (and hence every counter) is a pure
             // function of (seed, job, task, attempt): rerunning must
             // reproduce it exactly.
-            let again = d_m2td_fault_tolerant(
-                &x1,
-                &x2,
-                K,
-                &RANKS,
+            let again = DistJob {
                 opts,
-                &engine,
-                Phase3Strategy::ChunkPartition,
-                &faults,
-                None,
-            )
+                faults,
+                ..DistJob::new(&x1, &x2, K, &RANKS)
+            }
+            .run(&engine)
             .unwrap();
             assert_eq!(
                 run.total_tasks(),
@@ -160,17 +149,12 @@ fn channel_transport_is_bitwise_deterministic_under_faults() {
                 plan: FaultPlan::new(seed, 0.4, 0.2, 20.0).with_xport_corrupt_rate(0.2),
                 policy: RetryPolicy::with_max_attempts(10),
             };
-            let run = d_m2td_fault_tolerant(
-                &x1,
-                &x2,
-                K,
-                &RANKS,
+            let run = DistJob {
                 opts,
-                &channel,
-                Phase3Strategy::ChunkPartition,
-                &faults,
-                None,
-            )
+                faults,
+                ..DistJob::new(&x1, &x2, K, &RANKS)
+            }
+            .run(&channel)
             .unwrap_or_else(|e| panic!("channel seed {seed}, {workers} workers: {e}"));
             assert_bitwise_equal(
                 &reference,
@@ -191,34 +175,25 @@ fn mode_shuffle_phase3_is_also_fault_deterministic() {
     let (x1, x2) = sub_tensors();
     let opts = M2tdOptions::default();
     let engine = MapReduce::new(2);
-    let reference = d_m2td_fault_tolerant(
-        &x1,
-        &x2,
-        K,
-        &RANKS,
+    let reference = DistJob {
         opts,
-        &engine,
-        Phase3Strategy::ModeShuffle,
-        &FaultConfig::none(),
-        None,
-    )
+        phase3: Phase3Strategy::ModeShuffle,
+        ..DistJob::new(&x1, &x2, K, &RANKS)
+    }
+    .run(&engine)
     .unwrap();
     for seed in seeds_under_test() {
         let faults = FaultConfig {
             plan: FaultPlan::new(seed, 0.6, 0.0, 0.0),
             policy: RetryPolicy::default(),
         };
-        let run = d_m2td_fault_tolerant(
-            &x1,
-            &x2,
-            K,
-            &RANKS,
+        let run = DistJob {
             opts,
-            &engine,
-            Phase3Strategy::ModeShuffle,
-            &faults,
-            None,
-        )
+            phase3: Phase3Strategy::ModeShuffle,
+            faults,
+            ..DistJob::new(&x1, &x2, K, &RANKS)
+        }
+        .run(&engine)
         .unwrap();
         assert_bitwise_equal(&reference, &run, &format!("mode-shuffle, seed {seed}"));
     }
@@ -251,17 +226,13 @@ fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
             .with_kill_cap(u32::MAX),
         policy: RetryPolicy::no_retries(),
     };
-    let err = d_m2td_fault_tolerant(
-        &x1,
-        &x2,
-        K,
-        &RANKS,
+    let err = DistJob {
         opts,
-        &engine,
-        Phase3Strategy::ChunkPartition,
-        &lethal,
-        Some(&store),
-    )
+        faults: lethal,
+        checkpoint: Some(&store),
+        ..DistJob::new(&x1, &x2, K, &RANKS)
+    }
+    .run(&engine)
     .unwrap_err();
     assert!(
         matches!(err, DistError::Exhausted(_)),
@@ -271,17 +242,12 @@ fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
     // Second attempt, fault-free: phases 1–2 must resume from the
     // checkpoints (zero task executions), phase 3 recomputes, and the
     // result is bitwise identical to the never-failed run.
-    let resumed = d_m2td_fault_tolerant(
-        &x1,
-        &x2,
-        K,
-        &RANKS,
+    let resumed = DistJob {
         opts,
-        &engine,
-        Phase3Strategy::ChunkPartition,
-        &FaultConfig::none(),
-        Some(&store),
-    )
+        checkpoint: Some(&store),
+        ..DistJob::new(&x1, &x2, K, &RANKS)
+    }
+    .run(&engine)
     .unwrap();
     assert!(resumed.phase1.resumed, "phase 1 was recomputed");
     assert!(resumed.phase2.resumed, "phase 2 was recomputed");
@@ -307,17 +273,12 @@ fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
     let mut entries: Vec<(Vec<usize>, f64)> = x1.iter().collect();
     entries[0].1 += 1.0;
     let x1b = SparseTensor::from_entries(x1.dims(), &entries).unwrap();
-    let fresh = d_m2td_fault_tolerant(
-        &x1b,
-        &x2,
-        K,
-        &RANKS,
+    let fresh = DistJob {
         opts,
-        &engine,
-        Phase3Strategy::ChunkPartition,
-        &FaultConfig::none(),
-        Some(&store),
-    )
+        checkpoint: Some(&store),
+        ..DistJob::new(&x1b, &x2, K, &RANKS)
+    }
+    .run(&engine)
     .unwrap();
     assert!(!fresh.phase1.resumed && !fresh.phase2.resumed);
 
@@ -345,18 +306,14 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
         policy: RetryPolicy::default(),
     };
     let strict = JobRecovery::new(&manifest, &dlq).with_min_coverage(1.0);
-    let err = d_m2td_resumable(
-        &x1,
-        &x2,
-        K,
-        &RANKS,
+    let err = DistJob {
         opts,
-        &engine,
-        Phase3Strategy::ChunkPartition,
-        &lethal,
-        Some(&store),
-        &strict,
-    )
+        faults: lethal,
+        checkpoint: Some(&store),
+        recovery: Some(strict),
+        ..DistJob::new(&x1, &x2, K, &RANKS)
+    }
+    .run(&engine)
     .unwrap_err();
     assert!(
         matches!(err, DistError::Worker(_)),
@@ -368,18 +325,13 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
     // run completes degraded (coverage 1/2 meets the default 0.5 floor)
     // and differs from the clean result.
     let recovery = JobRecovery::new(&manifest, &dlq);
-    let degraded = d_m2td_resumable(
-        &x1,
-        &x2,
-        K,
-        &RANKS,
+    let degraded = DistJob {
         opts,
-        &engine,
-        Phase3Strategy::ChunkPartition,
-        &FaultConfig::none(),
-        Some(&store),
-        &recovery,
-    )
+        checkpoint: Some(&store),
+        recovery: Some(recovery),
+        ..DistJob::new(&x1, &x2, K, &RANKS)
+    }
+    .run(&engine)
     .unwrap();
     assert!(degraded.degraded);
     assert_eq!(degraded.dead_tasks, vec![1]);
@@ -388,7 +340,7 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
         "the surviving phase-3 task must replay from the manifest"
     );
     assert_ne!(
-        degraded.dist.tucker.core.as_slice(),
+        degraded.tucker.core.as_slice(),
         clean.tucker.core.as_slice(),
         "a core missing one partial cannot equal the clean core"
     );
@@ -396,25 +348,20 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
     // Requeue and restart: the parked task re-runs, its entry drains,
     // and the result is bitwise identical to the uninterrupted run.
     assert_eq!(dlq.requeue_all().unwrap(), 1);
-    let resumed = d_m2td_resumable(
-        &x1,
-        &x2,
-        K,
-        &RANKS,
+    let resumed = DistJob {
         opts,
-        &engine,
-        Phase3Strategy::ChunkPartition,
-        &FaultConfig::none(),
-        Some(&store),
-        &recovery,
-    )
+        checkpoint: Some(&store),
+        recovery: Some(recovery),
+        ..DistJob::new(&x1, &x2, K, &RANKS)
+    }
+    .run(&engine)
     .unwrap();
     assert!(!resumed.degraded);
     assert!(resumed.dead_tasks.is_empty());
     assert_eq!(resumed.drained, 1, "the requeued entry must drain");
     assert!(resumed.resumed_tasks > 0);
     assert_eq!(dlq.depth(), 0);
-    assert_bitwise_equal(&clean, &resumed.dist, "after requeue and resume");
+    assert_bitwise_equal(&clean, &resumed, "after requeue and resume");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

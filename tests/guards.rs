@@ -15,10 +15,7 @@
 //! that installs either serializes on [`lock`] and uninstalls on drop.
 
 use m2td::core::{m2td_decompose, CoreError, M2tdOptions};
-use m2td::dist::{
-    d_m2td, d_m2td_fault_tolerant, CheckpointStore, DistDecomposition, FaultConfig, MapReduce,
-    Phase3Strategy,
-};
+use m2td::dist::{d_m2td, CheckpointStore, DistDecomposition, DistJob, FaultConfig, MapReduce};
 use m2td::fault::{CorruptionKind, FaultPlan, RetryPolicy};
 use m2td::guard::{GuardConfig, GuardError, GuardPolicy, NonFiniteKind};
 use m2td::tensor::{Shape, SparseTensor};
@@ -255,34 +252,24 @@ fn every_corruption_kind_quarantines_and_recomputes_bitwise_identically() {
         let store = CheckpointStore::new(&dir).unwrap();
 
         // Clean checkpointed run, then damage both phase records on disk.
-        let first = d_m2td_fault_tolerant(
-            &x1,
-            &x2,
-            1,
-            &[3, 3, 3],
+        let first = DistJob {
             opts,
-            &engine,
-            Phase3Strategy::ChunkPartition,
-            &FaultConfig::none(),
-            Some(&store),
-        )
+            checkpoint: Some(&store),
+            ..DistJob::new(&x1, &x2, 1, &[3, 3, 3])
+        }
+        .run(&engine)
         .unwrap();
         assert_bitwise_equal(&reference, &first, &format!("{kind}: clean run"));
         assert!(store.corrupt(1, kind).unwrap());
         assert!(store.corrupt(2, kind).unwrap());
 
         m2td::obs::reset();
-        let recovered = d_m2td_fault_tolerant(
-            &x1,
-            &x2,
-            1,
-            &[3, 3, 3],
+        let recovered = DistJob {
             opts,
-            &engine,
-            Phase3Strategy::ChunkPartition,
-            &FaultConfig::none(),
-            Some(&store),
-        )
+            checkpoint: Some(&store),
+            ..DistJob::new(&x1, &x2, 1, &[3, 3, 3])
+        }
+        .run(&engine)
         .unwrap();
         assert!(
             !recovered.phase1.resumed && !recovered.phase2.resumed,
@@ -320,17 +307,13 @@ fn in_run_corruption_stream_damages_disk_but_never_the_result() {
         plan: FaultPlan::none().with_ckpt_corrupt_rate(0.999),
         policy: RetryPolicy::default(),
     };
-    let first = d_m2td_fault_tolerant(
-        &x1,
-        &x2,
-        1,
-        &[3, 3, 3],
+    let first = DistJob {
         opts,
-        &engine,
-        Phase3Strategy::ChunkPartition,
-        &chaos,
-        Some(&store),
-    )
+        faults: chaos,
+        checkpoint: Some(&store),
+        ..DistJob::new(&x1, &x2, 1, &[3, 3, 3])
+    }
+    .run(&engine)
     .unwrap();
     assert_bitwise_equal(&reference, &first, "corrupting run");
     let injected = m2td::obs::snapshot()
@@ -339,17 +322,12 @@ fn in_run_corruption_stream_damages_disk_but_never_the_result() {
     assert_eq!(injected, 2, "both phase records should have been damaged");
 
     // The next run finds damaged records: quarantine, recompute, same bits.
-    let recovered = d_m2td_fault_tolerant(
-        &x1,
-        &x2,
-        1,
-        &[3, 3, 3],
+    let recovered = DistJob {
         opts,
-        &engine,
-        Phase3Strategy::ChunkPartition,
-        &FaultConfig::none(),
-        Some(&store),
-    )
+        checkpoint: Some(&store),
+        ..DistJob::new(&x1, &x2, 1, &[3, 3, 3])
+    }
+    .run(&engine)
     .unwrap();
     assert!(!recovered.phase1.resumed && !recovered.phase2.resumed);
     assert_bitwise_equal(&reference, &recovered, "recovery run");

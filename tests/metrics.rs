@@ -4,9 +4,9 @@
 //!   through `m2td-json` losslessly;
 //! * span counts and counter values are independent of the physical
 //!   thread count (times of course are not);
-//! * the `mr.*` counters mirrored into the registry by
-//!   `MapReduce::run_with_faults` agree with the [`TaskCounters`] the
-//!   caller receives;
+//! * the `mr.*` counters mirrored into the registry by `MapReduce::run`
+//!   during a faulty `DistJob` agree with the [`TaskCounters`] the caller
+//!   receives;
 //! * with no subscriber installed, nothing is recorded and
 //!   [`RunReport::metrics`] stays `None`.
 //!
@@ -14,7 +14,7 @@
 //! and resets the registry while holding it.
 
 use m2td::core::{m2td_decompose, M2tdOptions};
-use m2td::dist::{d_m2td_fault_tolerant, FaultConfig, MapReduce, Phase3Strategy};
+use m2td::dist::{DistJob, FaultConfig, MapReduce};
 use m2td::fault::{FaultPlan, RetryPolicy};
 use m2td::json::{FromJson, ToJson};
 use m2td::obs::MetricsSnapshot;
@@ -119,17 +119,11 @@ fn mapreduce_counters_match_returned_task_counters() {
         plan: FaultPlan::new(11, 0.5, 0.3, 20.0),
         policy: RetryPolicy::default(),
     };
-    let run = d_m2td_fault_tolerant(
-        &x1,
-        &x2,
-        K,
-        &RANKS,
-        M2tdOptions::default(),
-        &MapReduce::new(3),
-        Phase3Strategy::ChunkPartition,
-        &faults,
-        None,
-    )
+    let run = DistJob {
+        faults,
+        ..DistJob::new(&x1, &x2, K, &RANKS)
+    }
+    .run(&MapReduce::new(3))
     .unwrap();
     let snap = m2td::obs::snapshot();
     m2td::obs::uninstall();
