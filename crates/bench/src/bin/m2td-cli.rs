@@ -19,6 +19,7 @@
 use m2td_bench::registry::{system_by_name, SystemKind};
 use m2td_bench::tables::workbench_config;
 use m2td_core::{M2tdOptions, PivotCombine, RunReport, SimFaultPolicy, Workbench};
+use m2td_guard::integrity::fnv1a64;
 use m2td_sampling::{
     GridSampling, LatinHypercubeSampling, RandomSampling, SamplingScheme, SliceSampling,
     StratifiedSampling,
@@ -569,17 +570,6 @@ fn dist_inputs(
     Ok((x1, x2))
 }
 
-/// FNV-1a over a byte string; the hash `dist` prints for its core so
-/// shell scripts can compare runs without parsing tensors.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// `dist`: one resumable sharded D-M2TD run over a job directory.
 fn run_dist(args: &Args) -> Result<u8, String> {
     use m2td_dist::{
@@ -687,7 +677,7 @@ fn run_dist(args: &Args) -> Result<u8, String> {
         "resume: {} tasks replayed from manifest, {} dead-letter entries drained",
         d.resumed_tasks, d.drained,
     );
-    println!("core fnv64: {:016x}", fnv1a64(hashed.as_bytes()));
+    println!("core fnv64: {:016x}", fnv1a64(&[hashed.as_bytes()]));
     if d.degraded {
         println!(
             "DEGRADED: phase-3 tasks {:?} are parked in the dead-letter queue; \
@@ -834,7 +824,7 @@ fn run_serve(args: &Args) -> Result<u8, String> {
     for l in (0..total).step_by(stride) {
         let mut value = ((l as f64) * 0.37).sin() + 1.0;
         if corrupt_rate > 0.0 {
-            let h = fnv1a64(&(l as u64 ^ fault_seed.rotate_left(17)).to_le_bytes());
+            let h = fnv1a64(&[&(l as u64 ^ fault_seed.rotate_left(17)).to_le_bytes()]);
             if ((h >> 11) as f64 / (1u64 << 53) as f64) < corrupt_rate {
                 value = f64::NAN;
                 poisoned += 1;
@@ -953,7 +943,7 @@ fn run_serve(args: &Args) -> Result<u8, String> {
             core_bytes.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
-    println!("serve: core fnv64:{:016x}", fnv1a64(&core_bytes));
+    println!("serve: core fnv64:{:016x}", fnv1a64(&[&core_bytes]));
 
     if state_dir.is_some() {
         if let Some(seq) = engine.snapshot().map_err(serve_err)? {

@@ -1,23 +1,34 @@
 //! Transport abstraction: how tasks and sub-tensor shards cross the
 //! boundary between the D-M2TD driver and its workers.
 //!
-//! Everything that crosses a transport is a [`TaskEnvelope`] — an
-//! `m2td-json` document carrying the task identity (job, phase, kind,
-//! task id, attempt) plus an opaque serialized payload, sealed with the
-//! same FNV-1a-64 checksum the checkpoint-v2 store uses. The checksum
-//! covers the *whole* envelope (identity and payload), so a bit-flip or
+//! Everything that crosses a transport is a [`TaskEnvelope`]: the task
+//! identity (job, phase, kind, task id, attempt) plus an opaque serialized
+//! payload, sealed with the same FNV-1a-64 checksum the checkpoint-v2
+//! store uses. On the wire an envelope is one frame:
+//!
+//! ```text
+//! {"job":3,"phase":2,"kind":"reduce","task":17,"attempt":1,"checksum":1447188547863556484}
+//! [[0,4,1.5],[1,9,-0.25]]
+//! ```
+//!
+//! a compact `m2td-json` header line, a `\n`, then the raw payload, which is
+//! never escaped or re-parsed by the transport. Compact JSON holds no raw
+//! newline, so the first `\n` always ends the header. The checksum covers
+//! the *whole* envelope (identity and payload), so a bit-flip or
 //! truncation anywhere in flight is detected on receive, counted in
 //! `xport.corrupt_dropped`, and surfaces as a [`TransportError`] the
-//! scheduler retries — corrupt bytes are never deserialized into the
-//! pipeline.
+//! scheduler retries. Decoding verifies before it parses: only the short
+//! header is parsed, and the checksum is checked over the raw payload
+//! slice before any payload byte is read as JSON — corrupt bytes are
+//! never deserialized into the pipeline.
 //!
 //! Two implementations exist today:
 //!
 //! * [`DirectTransport`] — a pass-through used as a reference; and
-//! * [`ChannelTransport`] — serializes every envelope, pushes the bytes
+//! * [`ChannelTransport`] — frames every envelope, pushes the bytes
 //!   through an in-process `std::sync::mpsc` channel hop, optionally
 //!   injects deterministic wire corruption from the [`FaultPlan`] wire
-//!   stream, and re-parses on the far side.
+//!   stream, and verifies the frame on the far side.
 //!
 //! The channel implementation is deliberately shaped like a future
 //! socket/process transport: nothing crosses it except bytes, so swapping
@@ -80,7 +91,8 @@ pub enum TransportError {
     /// The received bytes did not parse as an envelope (torn write,
     /// truncation, or a structural bit-flip).
     Malformed(String),
-    /// The envelope parsed but its checksum did not match its contents.
+    /// The header parsed but its checksum did not match the header fields
+    /// and the payload bytes.
     ChecksumMismatch {
         /// Checksum the envelope claimed.
         stored: u64,
@@ -102,6 +114,12 @@ impl fmt::Display for TransportError {
 }
 
 impl std::error::Error for TransportError {}
+
+/// Longest header line [`TaskEnvelope::decode`] looks through for the
+/// newline that ends it. The longest header the encoder writes (every
+/// number at its widest) is 141 bytes, so a frame without a newline this
+/// early is malformed, however long its payload.
+const MAX_HEADER_BYTES: usize = 256;
 
 /// Parses the `kind` field of an envelope back into a [`TaskKind`].
 fn parse_kind(s: &str) -> Option<TaskKind> {
@@ -172,10 +190,12 @@ impl TaskEnvelope {
         fnv1a64(&[header.as_bytes(), payload.as_bytes()])
     }
 
-    /// Serializes the envelope to compact JSON (the only form that ever
-    /// crosses a transport).
+    /// Serializes the envelope into its wire frame (the only form that
+    /// ever crosses a transport): the compact JSON header
+    /// `{job,phase,kind,task,attempt,checksum}`, a `\n`, then the payload
+    /// bytes verbatim.
     pub fn encode(&self) -> String {
-        Json::Obj(vec![
+        let header = Json::Obj(vec![
             ("job".to_string(), self.job.to_json()),
             ("phase".to_string(), self.phase.to_json()),
             ("kind".to_string(), self.kind.to_string().to_json()),
@@ -183,17 +203,36 @@ impl TaskEnvelope {
             ("attempt".to_string(), self.attempt.to_json()),
             // Bit-cast through i64 like every other 64-bit hash on disk.
             ("checksum".to_string(), Json::Int(self.checksum as i64)),
-            ("payload".to_string(), self.payload.to_json()),
         ])
-        .to_compact()
+        .to_compact();
+        let mut frame = String::with_capacity(header.len() + 1 + self.payload.len());
+        frame.push_str(&header);
+        frame.push('\n');
+        frame.push_str(&self.payload);
+        frame
     }
 
-    /// Parses and *verifies* received bytes. Malformed documents and
+    /// Parses and *verifies* a received frame. Malformed frames and
     /// checksum mismatches are rejected — the caller retries the attempt,
     /// it never sees the damaged payload.
     pub fn decode(text: &str) -> Result<Self, TransportError> {
-        let doc =
-            Json::parse(text).map_err(|e| TransportError::Malformed(format!("parse: {e}")))?;
+        let (mut envelope, body) = Self::open(text)?;
+        envelope.payload = text[body..].to_string();
+        Ok(envelope)
+    }
+
+    /// Verifies a frame without reading its payload: parses the header
+    /// line, then checks the checksum over the header fields and the raw
+    /// payload bytes. Returns the envelope with an empty `payload` and the
+    /// byte offset where the verified payload starts.
+    fn open(text: &str) -> Result<(Self, usize), TransportError> {
+        let newline = text
+            .bytes()
+            .take(MAX_HEADER_BYTES)
+            .position(|b| b == b'\n')
+            .ok_or_else(|| TransportError::Malformed("no header line".to_string()))?;
+        let doc = Json::parse(&text[..newline])
+            .map_err(|e| TransportError::Malformed(format!("header parse: {e}")))?;
         let field = |name: &str| {
             doc.get(name)
                 .ok_or_else(|| TransportError::Malformed(format!("missing field '{name}'")))
@@ -225,26 +264,24 @@ impl TaskEnvelope {
                 )))
             }
         };
-        let payload = field("payload")?
-            .as_str()
-            .map_err(|e| TransportError::Malformed(format!("field 'payload': {e}")))?
-            .to_string();
-        let computed = Self::checksum_of(job, phase, kind, task, attempt, &payload);
+        let body = newline + 1;
+        let computed = Self::checksum_of(job, phase, kind, task, attempt, &text[body..]);
         if computed != checksum {
             return Err(TransportError::ChecksumMismatch {
                 stored: checksum,
                 computed,
             });
         }
-        Ok(Self {
+        let envelope = Self {
             job,
             phase,
             kind,
             task,
             attempt,
             checksum,
-            payload,
-        })
+            payload: String::new(),
+        };
+        Ok((envelope, body))
     }
 }
 
@@ -274,10 +311,10 @@ impl Transport for DirectTransport {
     }
 }
 
-/// In-process channel transport: every delivery serializes the envelope,
+/// In-process channel transport: every delivery frames the envelope,
 /// optionally damages the bytes per the [`FaultPlan`] wire stream, pushes
-/// them through an `mpsc` channel hop, and re-parses with checksum
-/// verification on the receiving side.
+/// them through an `mpsc` channel hop, and verifies the checksum on the
+/// receiving side before handing the payload on.
 #[derive(Debug, Clone, Copy)]
 pub struct ChannelTransport {
     plan: FaultPlan,
@@ -323,12 +360,17 @@ impl Transport for ChannelTransport {
         // replace these two lines with a write + read.
         let (tx, rx) = std::sync::mpsc::channel::<String>();
         tx.send(text).expect("receiver alive in scope");
-        let received = rx.recv().expect("sender alive in scope");
+        let mut received = rx.recv().expect("sender alive in scope");
         m2td_obs::counter_add("xport.envelopes", 1);
         m2td_obs::counter_add("xport.bytes", received.len() as u64);
-        TaskEnvelope::decode(&received).inspect_err(|_| {
+        let (mut delivered, body) = TaskEnvelope::open(&received).inspect_err(|_| {
             m2td_obs::counter_add("xport.corrupt_dropped", 1);
-        })
+        })?;
+        // Cut the verified payload out of the received frame in place
+        // rather than copying it into a second buffer.
+        received.drain(..body);
+        delivered.payload = received;
+        Ok(delivered)
     }
 
     fn kind(&self) -> TransportKind {
@@ -394,6 +436,72 @@ mod tests {
                 "accepted {bad:?}"
             );
         }
+    }
+
+    #[test]
+    fn frame_is_a_header_line_then_the_raw_payload() {
+        let env = envelope();
+        let frame = env.encode();
+        let (header, payload) = frame.split_once('\n').unwrap();
+        assert_eq!(
+            header,
+            format!(
+                r#"{{"job":3,"phase":2,"kind":"reduce","task":17,"attempt":1,"checksum":{}}}"#,
+                env.checksum as i64
+            )
+        );
+        assert_eq!(payload, env.payload);
+        // The header must end early: a newline past MAX_HEADER_BYTES is
+        // not looked for, even when the text before it would parse.
+        let padded = format!("{}{frame}", " ".repeat(MAX_HEADER_BYTES));
+        assert!(matches!(
+            TaskEnvelope::decode(&padded),
+            Err(TransportError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_is_rejected() {
+        // Escapes, a raw newline and multi-byte UTF-8 in the payload, so
+        // the sweep damages every kind of byte a frame holds.
+        let env = TaskEnvelope::new(
+            9,
+            3,
+            TaskKind::Map,
+            4,
+            2,
+            "[[\"é\\n\",-0.5],\n{\"k\":[1e-3,\"日\"]}]".to_string(),
+        );
+        let frame = env.encode().into_bytes();
+        for at in 0..frame.len() {
+            let mut flipped = frame.clone();
+            flipped[at] ^= 0x01;
+            for (what, damaged) in [("flip", &flipped[..]), ("truncation", &frame[..at])] {
+                // No byte of a frame is slack: a damaged frame never
+                // decodes, neither to another envelope nor to this one.
+                let decoded = TaskEnvelope::decode(&String::from_utf8_lossy(damaged));
+                assert!(decoded.is_err(), "{what} at byte {at} decoded: {decoded:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn payload_is_verified_without_being_parsed() {
+        // Not JSON: raw newlines, an open brace, a lone backslash, NUL.
+        let raw = "not json {\n\"\\ \u{0}é\n".to_string();
+        let env = TaskEnvelope::new(1, 1, TaskKind::Simulation, 0, 0, raw.clone());
+        assert_eq!(TaskEnvelope::decode(&env.encode()).unwrap(), env);
+        let delivered = ChannelTransport::new(FaultPlan::none())
+            .deliver(&env, 1)
+            .unwrap();
+        assert_eq!(delivered.payload.as_bytes(), raw.as_bytes());
+        // Damage to such a payload fails the checksum, not a parse.
+        let mut frame = env.encode();
+        frame.push('x');
+        assert!(matches!(
+            TaskEnvelope::decode(&frame),
+            Err(TransportError::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! serde_json's default behaviour.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses once per level, so without a cap a damaged or hostile
@@ -94,6 +94,7 @@ impl Json {
     /// Parses a JSON document, requiring the whole input be consumed.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -237,7 +238,11 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            // Writing into a `String` cannot fail, here or in the other
+            // `write!`s of this writer, so their `fmt::Result` is dropped.
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Json::Float(f) => write_f64(out, *f),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
@@ -266,11 +271,11 @@ impl fmt::Display for Json {
 
 fn write_f64(out: &mut String, f: f64) {
     if f.is_finite() {
-        let s = format!("{f}");
-        out.push_str(&s);
+        let start = out.len();
+        let _ = write!(out, "{f}");
         // `{}` prints integral floats without a fractional part; keep the
         // value a float on round trip.
-        if !s.contains(['.', 'e', 'E']) {
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     } else {
@@ -278,23 +283,32 @@ fn write_f64(out: &mut String, f: f64) {
     }
 }
 
+/// Writes `s` as a quoted JSON string. Runs of characters that need no
+/// escape are copied in one `push_str`; every byte that does need one
+/// (`"`, `\`, controls) is ASCII, so a run always ends on a char boundary.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -330,6 +344,7 @@ fn write_seq(
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -505,17 +520,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so valid UTF-8).
+                    // Copy the run of plain bytes up to the next `"`, `\`
+                    // or control byte in one push. Those stop bytes are
+                    // ASCII, so the run ends on a char boundary of `text`.
                     let start = self.pos;
-                    let rest = &self.bytes[start..];
-                    let step = match rest[0] {
-                        b if b < 0x80 => 1,
-                        b if b < 0xE0 => 2,
-                        b if b < 0xF0 => 3,
-                        _ => 4,
-                    };
-                    self.pos += step;
-                    out.push_str(std::str::from_utf8(&rest[..step]).unwrap());
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -808,6 +822,119 @@ mod tests {
             Json::parse(r#""\ud83d\ude00""#).unwrap(),
             Json::Str("\u{1F600}".into())
         );
+        // Runs of multi-byte UTF-8 ending at an escape, a quote or the end.
+        for (text, want) in [
+            (r#""日本\n""#, "日本\n"),
+            (r#""😀\"x""#, "😀\"x"),
+            (r#""é\u00e9""#, "éé"),
+            (r#""ü\\ü""#, "ü\\ü"),
+            (r#""a\ud83d\ude00日""#, "a😀日"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(Json::parse(text).unwrap(), Json::Str(want.into()), "{text}");
+        }
+    }
+
+    #[test]
+    fn writer_emits_golden_bytes() {
+        // Every checkpoint, manifest, DLQ, WAL and snapshot file is this
+        // writer's output, so its bytes are a format: pin them exactly.
+        // The document mixes integral and extreme floats, `-0.0`, `NaN`,
+        // `i64` extremes, every escape, a raw `DEL` (written unescaped)
+        // and multi-byte UTF-8 beside escapes.
+        let doc = Json::Obj(vec![
+            (
+                "ints".into(),
+                Json::Arr(vec![
+                    Json::Int(0),
+                    Json::Int(-42),
+                    Json::Int(i64::MIN),
+                    Json::Int(i64::MAX),
+                ]),
+            ),
+            (
+                "floats".into(),
+                Json::Arr(vec![
+                    Json::Float(7.0),
+                    Json::Float(-0.0),
+                    Json::Float(1e300),
+                    Json::Float(5e-324),
+                    Json::Float(0.1),
+                    Json::Float(-1.5e-8),
+                    Json::Float(f64::NAN),
+                ]),
+            ),
+            (
+                "escapes".into(),
+                Json::Str("q\"b\\s/n\nr\rt\tb\u{8}f\u{c}u\u{1f}\u{0}\u{7f}end".into()),
+            ),
+            ("utf8".into(), Json::Str("é\"日本\\\n😀\u{1}ü".into())),
+            ("k\"ey\u{263a}".into(), Json::Null),
+            (
+                "nested".into(),
+                Json::Arr(vec![
+                    Json::Obj(vec![]),
+                    Json::Arr(vec![]),
+                    Json::Bool(true),
+                    Json::Bool(false),
+                ]),
+            ),
+        ]);
+        let big = format!("1{}.0", "0".repeat(300));
+        let tiny = format!("0.{}5", "0".repeat(323));
+        let compact = [
+            r#"{"ints":[0,-42,-9223372036854775808,9223372036854775807],"floats":[7.0,-0.0,"#,
+            &big,
+            ",",
+            &tiny,
+            r#",0.1,-0.000000015,null],"escapes":"q\"b\\s/n\nr\rt\tb\bf\fu\u001f\u0000"#,
+            "\u{7f}",
+            r#"end","utf8":"é\"日本\\\n😀\u0001ü","k\"ey☺":null,"nested":[{},[],true,false]}"#,
+        ]
+        .concat();
+        let pretty = [
+            r#"{
+  "ints": [
+    0,
+    -42,
+    -9223372036854775808,
+    9223372036854775807
+  ],
+  "floats": [
+    7.0,
+    -0.0,
+    "#,
+            &big,
+            ",\n    ",
+            &tiny,
+            r#",
+    0.1,
+    -0.000000015,
+    null
+  ],
+  "escapes": "q\"b\\s/n\nr\rt\tb\bf\fu\u001f\u0000"#,
+            "\u{7f}",
+            r#"end",
+  "utf8": "é\"日本\\\n😀\u0001ü",
+  "k\"ey☺": null,
+  "nested": [
+    {},
+    [],
+    true,
+    false
+  ]
+}"#,
+        ]
+        .concat();
+        assert_eq!(doc.to_compact(), compact);
+        assert_eq!(doc.to_pretty(), pretty);
+        // Parsing the golden text and writing it again is the identity
+        // (NaN already reads back as the `null` it was written as).
+        for text in [&compact, &pretty] {
+            let reparsed = Json::parse(text).unwrap();
+            assert_eq!(reparsed.to_compact(), compact);
+            assert_eq!(reparsed.to_pretty(), pretty);
+        }
     }
 
     #[test]
@@ -825,6 +952,11 @@ mod tests {
             "nul",
             "-",
             "\"\\u12\"",
+            // Raw control bytes inside a run, and a run cut off mid-string.
+            "\"ab\u{1}cd\"",
+            "\"日\u{1f}本\"",
+            "\"é\nü\"",
+            "\"日本",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
         }
