@@ -225,6 +225,8 @@ pub struct Workbench<'a> {
     space: ParameterSpace,
     grid: TimeGrid,
     ground_truth: DenseTensor,
+    /// Frobenius norm of the ground truth, the accuracy denominator.
+    truth_norm: f64,
     full_dims: Vec<usize>,
     defaults: Vec<usize>,
 }
@@ -244,6 +246,7 @@ impl<'a> Workbench<'a> {
             cfg,
             space,
             grid,
+            truth_norm: ground_truth.frobenius_norm(),
             ground_truth,
             full_dims,
             defaults,
@@ -338,16 +341,11 @@ impl<'a> Workbench<'a> {
     /// The paper's accuracy metric for a reconstruction in natural mode
     /// order.
     pub fn accuracy(&self, recon: &DenseTensor) -> Result<f64> {
-        let diff = recon.sub(&self.ground_truth)?;
-        let denom = self.ground_truth.frobenius_norm();
-        if denom == 0.0 {
-            return Ok(if diff.frobenius_norm() == 0.0 {
-                1.0
-            } else {
-                0.0
-            });
+        let dist = recon.distance(&self.ground_truth)?;
+        if self.truth_norm == 0.0 {
+            return Ok(if dist == 0.0 { 1.0 } else { 0.0 });
         }
-        Ok(1.0 - diff.frobenius_norm() / denom)
+        Ok(1.0 - dist / self.truth_norm)
     }
 
     /// Accuracy of a Tucker decomposition whose modes are in the *join

@@ -42,7 +42,7 @@ pub use matrix::Matrix;
 pub use qr::{householder_qr, QrFactors};
 pub use solve::{solve_lower_triangular, solve_spd, solve_upper_triangular};
 pub use svd::{gram_left_singular_vectors, svd, truncated_left_singular_vectors, Svd};
-pub use vecops::{axpy, dot, norm2, normalize, scale_in_place};
+pub use vecops::{axpy, dot, norm2, norm2_iter, normalize, scale_in_place};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;

@@ -159,9 +159,9 @@ impl Matrix {
 
     /// Reshapes the matrix in place to `rows x cols`, reusing the existing
     /// allocation, and zeros every entry. This is the buffer-reuse entry
-    /// point backing [`Self::matmul_into`] and the tensor workspace pool:
-    /// a matrix recycled through `reset` never reallocates unless the new
-    /// shape outgrows its capacity.
+    /// point backing [`Self::matmul_into`]: a matrix recycled through
+    /// `reset` never reallocates unless the new shape outgrows its
+    /// capacity.
     pub fn reset(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
@@ -348,16 +348,6 @@ impl Matrix {
     /// is scanned in ascending order, which is the same per-element
     /// accumulation order as the classic serial `k`-outer loop.
     pub fn transpose_matmul(&self, other: &Matrix) -> Result<Matrix> {
-        let mut out = Matrix::zeros(0, 0);
-        self.transpose_matmul_into(other, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::transpose_matmul`] writing into a caller-supplied matrix,
-    /// reshaped in place so its allocation is reused across calls (the TTM
-    /// chain runs one of these per mode — see `m2td_tensor::Workspace`).
-    /// Bitwise identical to `transpose_matmul` at every thread count.
-    pub fn transpose_matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.rows != other.rows {
             return Err(LinalgError::DimensionMismatch {
                 left: (self.cols, self.rows),
@@ -365,14 +355,14 @@ impl Matrix {
                 op: "transpose_matmul",
             });
         }
-        out.reset(self.cols, other.cols);
+        let mut out = Matrix::zeros(self.cols, other.cols);
         let (a, b, n, m, p) = (&self.data, &other.data, self.rows, self.cols, other.cols);
         let flops = n * m * p;
         if flops >= kernel::BLOCKED_MIN_FLOPS {
             // Logical A is selfᵀ (m × n stored row-major = transposed
             // storage of the p-row operand).
             kernel::gemm((m, n, p), a, true, b, false, &mut out.data, false);
-            return Ok(());
+            return Ok(out);
         }
         par_rows(&mut out.data, p, flops, |i, out_row| {
             for k in 0..n {
@@ -386,7 +376,7 @@ impl Matrix {
                 }
             }
         });
-        Ok(())
+        Ok(out)
     }
 
     /// Product `self * otherᵀ` without materializing the transpose.
@@ -775,12 +765,13 @@ mod tests {
         assert_eq!(out, a.matmul(&b).unwrap());
         // Reusing the same output across a differently shaped product must
         // reshape cleanly and leave no stale entries behind.
-        a.transpose_matmul_into(&c, &mut out).unwrap();
-        assert_eq!(out, a.transpose_matmul(&c).unwrap());
+        let at = a.transpose();
+        at.matmul_into(&c, &mut out).unwrap();
+        assert_eq!(out, at.matmul(&c).unwrap());
         assert_eq!(out.shape(), (5, 3));
         // Shape errors leave without touching the output shape contract.
         assert!(b.matmul_into(&c, &mut out).is_err());
-        assert!(b.transpose_matmul_into(&a, &mut out).is_err());
+        assert!(b.transpose_matmul(&a).is_err());
     }
 
     #[test]

@@ -23,8 +23,16 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// very large entries.
 #[inline]
 pub fn norm2(a: &[f64]) -> f64 {
+    norm2_iter(a.iter().copied())
+}
+
+/// [`norm2`] over the values an iterator yields, so a norm of derived
+/// values (such as a difference `a - b`) needs no buffer. The iterator is
+/// walked twice: once for the largest magnitude, once for the scaled sum.
+#[inline]
+pub fn norm2_iter(values: impl Iterator<Item = f64> + Clone) -> f64 {
     let mut max = 0.0f64;
-    for &x in a {
+    for x in values.clone() {
         let ax = x.abs();
         if ax > max {
             max = ax;
@@ -34,7 +42,7 @@ pub fn norm2(a: &[f64]) -> f64 {
         return if max.is_nan() { f64::NAN } else { max };
     }
     let mut acc = 0.0;
-    for &x in a {
+    for x in values {
         let s = x / max;
         acc += s * s;
     }

@@ -457,7 +457,8 @@ mod tests {
     use super::*;
     use std::sync::Mutex as TestMutex;
 
-    /// Sketch state is process-global; tests that install serialize here.
+    /// Sketch and metrics state is process-global; tests that install or
+    /// that call `range_finder` (which records gauges) serialize here.
     static LOCK: TestMutex<()> = TestMutex::new(());
 
     fn test_matrix(m: usize, n: usize) -> Matrix {
@@ -548,6 +549,7 @@ mod tests {
 
     #[test]
     fn range_finder_recovers_dominant_subspace() {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let a = test_matrix(64, 12);
         let cfg = SketchConfig::with_size(8).with_seed(3);
         let rf = range_finder(&a, 4, &cfg).unwrap();
@@ -576,6 +578,7 @@ mod tests {
 
     #[test]
     fn range_finder_is_seed_deterministic() {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let a = test_matrix(40, 10);
         let cfg = SketchConfig::with_size(6).with_seed(99);
         let r1 = range_finder(&a, 3, &cfg).unwrap();
@@ -588,6 +591,7 @@ mod tests {
 
     #[test]
     fn range_finder_rank_contract_matches_exact_route() {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let a = test_matrix(6, 2);
         let cfg = SketchConfig::DEFAULT;
         match range_finder(&a, 3, &cfg) {

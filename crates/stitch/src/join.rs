@@ -1,9 +1,19 @@
 //! The join and zero-join stitching kernels.
+//!
+//! Both inputs put their pivot modes first, so an entry's row-major linear
+//! index is `p·F + f`, with `p` its pivot configuration and `f` its index
+//! on the free lattice of size `F`. Sorted by linear index, each input is
+//! therefore already grouped by pivot with free indices ascending inside a
+//! group. [`stitch`] merges the two group lists and emits join entries in
+//! nested ascending `(p, f₁, f₂)` order, which is ascending join index
+//! `(p·F₁ + f₁)·F₂ + f₂`. The entries go straight into
+//! [`SparseTensor::from_sorted_linear`]: there is no hash map, no
+//! multi-index round trip and no final sort.
 
 use crate::error::StitchError;
 use crate::Result;
-use m2td_tensor::{Shape, SparseTensor};
-use std::collections::{BTreeSet, HashMap};
+use m2td_tensor::SparseTensor;
+use std::ops::Range;
 
 /// Which stitching rule to apply (Section V-C.1 vs V-C.2 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,31 +38,66 @@ pub struct StitchReport {
     pub input_nnz: (usize, usize),
 }
 
-/// Per-sub-tensor index decomposition: entries grouped by pivot
-/// configuration, with each entry keyed by its free-lattice linear index.
-struct Grouped {
-    /// pivot linear index -> (free linear index -> value)
-    by_pivot: HashMap<u64, HashMap<u64, f64>>,
-    /// All distinct free configurations appearing anywhere.
-    free_set: BTreeSet<u64>,
-    free_shape: Shape,
+/// One input split against its `k` pivot modes, in stream order.
+struct Split {
+    /// Free-lattice index per entry, ascending within each pivot group.
+    free: Vec<u64>,
+    values: Vec<f64>,
+    /// `(pivot, entries)` per pivot configuration present, pivot ascending.
+    groups: Vec<(u64, Range<usize>)>,
+    /// Size of the free lattice.
+    free_size: u64,
 }
 
-fn group(x: &SparseTensor, k: usize) -> Grouped {
-    let pivot_shape = Shape::new(&x.dims()[..k]);
-    let free_shape = Shape::new(&x.dims()[k..]);
-    let mut by_pivot: HashMap<u64, HashMap<u64, f64>> = HashMap::new();
-    let mut free_set = BTreeSet::new();
-    for (idx, v) in x.iter() {
-        let p = pivot_shape.linear_index(&idx[..k]) as u64;
-        let f = free_shape.linear_index(&idx[k..]) as u64;
-        by_pivot.entry(p).or_default().insert(f, v);
-        free_set.insert(f);
+fn split(x: &SparseTensor, k: usize) -> Split {
+    let free_size = x.dims()[k..].iter().product::<usize>() as u64;
+    let mut free = Vec::with_capacity(x.nnz());
+    let mut values = Vec::with_capacity(x.nnz());
+    let mut groups: Vec<(u64, Range<usize>)> = Vec::new();
+    for (e, (lin, v)) in x.iter_linear().enumerate() {
+        let p = lin / free_size;
+        match groups.last_mut() {
+            Some((q, range)) if *q == p => range.end = e + 1,
+            _ => groups.push((p, e..e + 1)),
+        }
+        free.push(lin % free_size);
+        values.push(v);
     }
-    Grouped {
-        by_pivot,
-        free_set,
-        free_shape,
+    Split {
+        free,
+        values,
+        groups,
+        free_size,
+    }
+}
+
+impl Split {
+    /// The distinct free configurations present anywhere, ascending.
+    fn free_set(&self) -> Vec<u64> {
+        let mut set = self.free.clone();
+        set.sort_unstable();
+        set.dedup();
+        set
+    }
+}
+
+/// Every pivot present on either side, ascending, with each side's entry
+/// range (empty when that side lacks the pivot).
+fn merge_pivots(
+    g1: &[(u64, Range<usize>)],
+    g2: &[(u64, Range<usize>)],
+) -> Vec<(u64, Range<usize>, Range<usize>)> {
+    let (mut a, mut b) = (g1.iter().peekable(), g2.iter().peekable());
+    let mut out = Vec::with_capacity(g1.len().max(g2.len()));
+    loop {
+        let p = match (a.peek(), b.peek()) {
+            (None, None) => return out,
+            (Some(x), None) | (None, Some(x)) => x.0,
+            (Some(x), Some(y)) => x.0.min(y.0),
+        };
+        let r1 = a.next_if(|g| g.0 == p).map_or(0..0, |g| g.1.clone());
+        let r2 = b.next_if(|g| g.0 == p).map_or(0..0, |g| g.1.clone());
+        out.push((p, r1, r2));
     }
 }
 
@@ -60,6 +105,7 @@ fn group(x: &SparseTensor, k: usize) -> Grouped {
 ///
 /// `x1` and `x2` must share their first `k` (pivot) modes; the result has
 /// modes `[pivot…, free₁…, free₂…]` and extents taken from the inputs.
+/// See the module docs for how entries are produced in sorted order.
 ///
 /// ```
 /// use m2td_stitch::{stitch, StitchKind};
@@ -100,85 +146,74 @@ pub fn stitch(
         }
     }
 
-    let g1 = group(x1, k);
-    let g2 = group(x2, k);
-
-    // Join tensor shape: pivot dims + free1 dims + free2 dims.
-    let mut join_dims: Vec<usize> = x1.dims()[..k].to_vec();
-    join_dims.extend_from_slice(&x1.dims()[k..]);
-    join_dims.extend_from_slice(&x2.dims()[k..]);
-    let join_shape = Shape::new(&join_dims);
-    let pivot_shape = Shape::new(&x1.dims()[..k]);
-
-    let mut entries: Vec<(u64, f64)> = Vec::new();
-    let mut shared_pivots = 0usize;
-    let n_total = join_dims.len();
-    let mut idx = vec![0usize; n_total];
-
-    let emit = |idx: &mut Vec<usize>,
-                entries: &mut Vec<(u64, f64)>,
-                pivot_lin: u64,
-                f1: u64,
-                f2: u64,
-                value: f64| {
-        pivot_shape.multi_index_into(pivot_lin as usize, &mut idx[..k]);
-        let f1_len = g1.free_shape.order();
-        g1.free_shape
-            .multi_index_into(f1 as usize, &mut idx[k..k + f1_len]);
-        g2.free_shape
-            .multi_index_into(f2 as usize, &mut idx[k + f1_len..]);
-        entries.push((join_shape.linear_index(idx) as u64, value));
+    let (s1, s2) = (split(x1, k), split(x2, k));
+    let pivots = merge_pivots(&s1.groups, &s2.groups);
+    // Zero-join pairs present entries with every free configuration ever
+    // selected on the other side; plain join needs no free sets.
+    let (set1, set2) = match kind {
+        StitchKind::Join => (Vec::new(), Vec::new()),
+        StitchKind::ZeroJoin => (s1.free_set(), s2.free_set()),
     };
+    let join_nnz: usize = pivots
+        .iter()
+        .map(|(_, r1, r2)| match kind {
+            StitchKind::Join => r1.len() * r2.len(),
+            StitchKind::ZeroJoin if r2.is_empty() => r1.len() * set2.len(),
+            StitchKind::ZeroJoin => r1.len() * set2.len() + (set1.len() - r1.len()) * r2.len(),
+        })
+        .sum();
 
-    // All pivot configurations appearing in either sub-ensemble.
-    let mut pivots: BTreeSet<u64> = g1.by_pivot.keys().copied().collect();
-    pivots.extend(g2.by_pivot.keys().copied());
-
-    for &p in &pivots {
-        let e1 = g1.by_pivot.get(&p);
-        let e2 = g2.by_pivot.get(&p);
-        if e1.is_some() && e2.is_some() {
+    let mut indices: Vec<u64> = Vec::with_capacity(join_nnz);
+    let mut values: Vec<f64> = Vec::with_capacity(join_nnz);
+    let mut shared_pivots = 0usize;
+    for (p, r1, r2) in pivots {
+        if !r1.is_empty() && !r2.is_empty() {
             shared_pivots += 1;
         }
+        let (f1s, v1s) = (&s1.free[r1.clone()], &s1.values[r1]);
+        let (f2s, v2s) = (&s2.free[r2.clone()], &s2.values[r2]);
+        let row = |f1: u64| (p * s1.free_size + f1) * s2.free_size;
         match kind {
             StitchKind::Join => {
-                if let (Some(m1), Some(m2)) = (e1, e2) {
-                    for (&f1, &v1) in m1 {
-                        for (&f2, &v2) in m2 {
-                            emit(&mut idx, &mut entries, p, f1, f2, 0.5 * (v1 + v2));
-                        }
-                    }
+                for (&f1, &v1) in f1s.iter().zip(v1s) {
+                    indices.extend(f2s.iter().map(|&f2| row(f1) + f2));
+                    values.extend(v2s.iter().map(|&v2| 0.5 * (v1 + v2)));
                 }
             }
             StitchKind::ZeroJoin => {
-                // Pair every present x1 entry with every free2 config ever
-                // selected; missing partners count as 0. Then cover the
-                // (missing, present) pairs from the x2 side.
-                if let Some(m1) = e1 {
-                    for (&f1, &v1) in m1 {
-                        for &f2 in &g2.free_set {
-                            let v2 = e2.and_then(|m| m.get(&f2)).copied().unwrap_or(0.0);
-                            emit(&mut idx, &mut entries, p, f1, f2, 0.5 * (v1 + v2));
+                // A present x1 entry pairs with every selected f2, a
+                // missing x2 partner counting as 0. A free1 configuration
+                // absent here pairs with x2's present entries only, and
+                // only exists when x2 has entries at this pivot.
+                let rows = if f2s.is_empty() { f1s } else { &set1[..] };
+                let mut c1 = 0;
+                for &f1 in rows {
+                    if f1s.get(c1) == Some(&f1) {
+                        let v1 = v1s[c1];
+                        c1 += 1;
+                        let mut c2 = 0;
+                        for &f2 in &set2 {
+                            let v2 = if f2s.get(c2) == Some(&f2) {
+                                c2 += 1;
+                                v2s[c2 - 1]
+                            } else {
+                                0.0
+                            };
+                            indices.push(row(f1) + f2);
+                            values.push(0.5 * (v1 + v2));
                         }
-                    }
-                }
-                if let Some(m2) = e2 {
-                    for (&f2, &v2) in m2 {
-                        for &f1 in &g1.free_set {
-                            let x1_present = e1.map(|m| m.contains_key(&f1)).unwrap_or(false);
-                            if x1_present {
-                                continue; // already emitted above
-                            }
-                            emit(&mut idx, &mut entries, p, f1, f2, 0.5 * v2);
-                        }
+                    } else {
+                        indices.extend(f2s.iter().map(|&f2| row(f1) + f2));
+                        values.extend(v2s.iter().map(|&v2| 0.5 * v2));
                     }
                 }
             }
         }
     }
+    debug_assert_eq!(indices.len(), join_nnz);
 
-    entries.sort_unstable_by_key(|&(l, _)| l);
-    let (indices, values): (Vec<u64>, Vec<f64>) = entries.into_iter().unzip();
+    let mut join_dims: Vec<usize> = x1.dims().to_vec();
+    join_dims.extend_from_slice(&x2.dims()[k..]);
     let join = SparseTensor::from_sorted_linear(&join_dims, indices, values)?;
     let report = StitchReport {
         join_nnz: join.nnz(),
@@ -192,6 +227,7 @@ pub fn stitch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m2td_tensor::Shape;
 
     /// X1: modes [pivot(2), a(2)]; X2: modes [pivot(2), b(3)].
     fn small_inputs() -> (SparseTensor, SparseTensor) {

@@ -128,6 +128,22 @@ impl DenseTensor {
         m2td_linalg::norm2(&self.data)
     }
 
+    /// Frobenius norm of `self - other`, without building the difference.
+    /// [`m2td_linalg::norm2_iter`] runs `norm2`'s two passes over `a - b`,
+    /// so the result is bitwise identical to
+    /// `self.sub(other)?.frobenius_norm()`.
+    pub fn distance(&self, other: &DenseTensor) -> Result<f64> {
+        if self.shape != other.shape {
+            return Err(TensorError::ShapeMismatch {
+                expected: self.dims().to_vec(),
+                actual: other.dims().to_vec(),
+                op: "distance",
+            });
+        }
+        let diffs = self.data.iter().zip(&other.data).map(|(&a, &b)| a - b);
+        Ok(m2td_linalg::norm2_iter(diffs))
+    }
+
     /// Largest absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
@@ -243,37 +259,41 @@ impl DenseTensor {
             seen[p] = true;
         }
         let new_dims: Vec<usize> = perm.iter().map(|&p| self.dims()[p]).collect();
-        let new_shape = Shape::new(&new_dims);
-        let mut out = DenseTensor::zeros(&new_dims);
-        let mut old_idx = vec![0usize; order];
-        let mut new_idx = vec![0usize; order];
-        for (lin, &v) in self.data.iter().enumerate() {
-            self.shape.multi_index_into(lin, &mut old_idx);
-            for (n, &p) in perm.iter().enumerate() {
-                new_idx[n] = old_idx[p];
+        let shape = Shape::new(&new_dims);
+        let total = shape.num_elements();
+        let mut data = Vec::with_capacity(total);
+        if total > 0 {
+            // Odometer over the output in row-major order, carrying the
+            // source offset along: output mode `n` steps the source by
+            // the input stride of mode `perm[n]`.
+            let src_strides: Vec<usize> = perm.iter().map(|&p| self.shape.strides()[p]).collect();
+            let (inner_dim, inner_stride) = (new_dims[order - 1], src_strides[order - 1]);
+            let mut counter = vec![0usize; order - 1];
+            let mut off = 0usize;
+            'walk: loop {
+                data.extend((0..inner_dim).map(|i| self.data[off + i * inner_stride]));
+                for m in (0..order - 1).rev() {
+                    counter[m] += 1;
+                    off += src_strides[m];
+                    if counter[m] < new_dims[m] {
+                        continue 'walk;
+                    }
+                    off -= counter[m] * src_strides[m];
+                    counter[m] = 0;
+                }
+                break;
             }
-            let new_lin = new_shape.linear_index(&new_idx);
-            out.data[new_lin] = v;
         }
-        Ok(out)
+        Ok(DenseTensor { shape, data })
     }
 
     /// Mode-`n` unfolding as a dense matrix of shape
     /// `I_n x Π_{m≠n} I_m` (Kolda & Bader convention; see crate docs).
     pub fn unfold(&self, mode: usize) -> Result<Matrix> {
-        let mut out = Matrix::zeros(0, 0);
-        self.unfold_into(mode, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Self::unfold`] writing into a caller-supplied matrix, which is
-    /// reshaped in place so its allocation is reused across the steps of a
-    /// TTM chain (see [`crate::Workspace`]).
-    pub fn unfold_into(&self, mode: usize, out: &mut Matrix) -> Result<()> {
         self.shape.check_mode(mode)?;
         let rows = self.shape.dim(mode);
         let cols = self.shape.unfold_cols(mode);
-        out.reset(rows, cols);
+        let mut out = Matrix::zeros(rows, cols);
         let mut idx = vec![0usize; self.order()];
         for (lin, &v) in self.data.iter().enumerate() {
             self.shape.multi_index_into(lin, &mut idx);
@@ -281,24 +301,12 @@ impl DenseTensor {
             let c = self.shape.unfold_col_index(mode, &idx);
             out.set(r, c, v);
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Inverse of [`Self::unfold`]: folds an `I_n x Π_{m≠n} I_m` matrix back
     /// into a tensor of shape `dims`.
     pub fn fold(matrix: &Matrix, mode: usize, dims: &[usize]) -> Result<DenseTensor> {
-        Self::fold_into(matrix, mode, dims, Vec::new())
-    }
-
-    /// [`Self::fold`] building the tensor on top of a recycled buffer
-    /// (every element is overwritten, so the buffer's prior contents are
-    /// irrelevant — only its capacity is reused).
-    pub fn fold_into(
-        matrix: &Matrix,
-        mode: usize,
-        dims: &[usize],
-        mut buf: Vec<f64>,
-    ) -> Result<DenseTensor> {
         let shape = Shape::new(dims);
         shape.check_mode(mode)?;
         let rows = shape.dim(mode);
@@ -311,17 +319,13 @@ impl DenseTensor {
             });
         }
         let total = shape.num_elements();
-        buf.clear();
-        buf.resize(total, 0.0);
-        let mut out = DenseTensor { shape, data: buf };
-        let mut idx = vec![0usize; out.shape.order()];
+        let mut data = Vec::with_capacity(total);
+        let mut idx = vec![0usize; shape.order()];
         for lin in 0..total {
-            out.shape.multi_index_into(lin, &mut idx);
-            let r = idx[mode];
-            let c = out.shape.unfold_col_index(mode, &idx);
-            out.data[lin] = matrix.get(r, c);
+            shape.multi_index_into(lin, &mut idx);
+            data.push(matrix.get(idx[mode], shape.unfold_col_index(mode, &idx)));
         }
-        Ok(out)
+        Ok(DenseTensor { shape, data })
     }
 }
 
@@ -383,23 +387,6 @@ mod tests {
         assert_eq!(m1.get(1, 0), 4.0);
         assert_eq!(m1.get(0, 1), 2.0);
         assert_eq!(m1.get(0, 3), 13.0);
-    }
-
-    #[test]
-    fn unfold_into_and_fold_into_match_allocating_variants() {
-        let t = DenseTensor::from_fn(&[3, 4, 2], |idx| {
-            ((idx[0] * 8 + idx[1] * 2 + idx[2]) as f64 * 0.19).sin()
-        });
-        let mut m = Matrix::zeros(1, 1);
-        for mode in 0..3 {
-            t.unfold_into(mode, &mut m).unwrap();
-            assert_eq!(m, t.unfold(mode).unwrap());
-            // A recycled, dirty buffer must not leak into the result.
-            let back = DenseTensor::fold_into(&m, mode, t.dims(), vec![7.0; 3]).unwrap();
-            assert_eq!(back, t);
-        }
-        assert!(t.unfold_into(3, &mut m).is_err());
-        assert!(DenseTensor::fold_into(&m, 0, &[5, 5], Vec::new()).is_err());
     }
 
     #[test]

@@ -10,14 +10,20 @@
 //!   compression ratio `I_n / R_n`, compared exactly by integer
 //!   cross-multiplication with ties broken by mode index, so the order is
 //!   pinned deterministic across platforms.
-//! * **Representation** — a sparse ensemble stays far from dense for the
-//!   first steps of the chain. The executor keeps a *semi-sparse*
+//! * **Representation** — an input whose stored fraction already reaches
+//!   [`TtmPlan::densify_threshold`] (a fully crossed join tensor is 100%
+//!   dense) is materialized once and the whole chain runs on the strided
+//!   dense kernel. A sparser ensemble stays far from dense for the first
+//!   steps of the chain, so the executor keeps a *semi-sparse*
 //!   intermediate ([`SemiSparse`]): sparse coordinates over the
 //!   not-yet-contracted modes, a dense fiber block over the contracted
 //!   ones (the SPLATT-style layout). Each step costs `O(stored · R_n)`
 //!   instead of `O(dense · R_n)`. Once the predicted stored size crosses
-//!   [`TtmPlan::densify_threshold`] × the dense size, the intermediate is
-//!   materialized and the chain finishes on the dense workspace kernels.
+//!   the threshold × the dense size, the intermediate is materialized and
+//!   the chain finishes on the dense kernel. The routes agree bit for bit
+//!   for finite factors: every kernel sums each output element in
+//!   ascending contracted index from `+0.0`, and the cells the sparse
+//!   route skips would only add `±0`, which leaves such a sum unchanged.
 //!
 //! Determinism: every kernel in this module accumulates into each output
 //! element in a fixed, thread-count-independent order — output groups are
@@ -102,8 +108,8 @@ impl TtmPlan {
         })
     }
 
-    /// Overrides the densify threshold (clamped to `>= 0`; `0` densifies
-    /// right after the first chain step).
+    /// Overrides the densify threshold (clamped to `>= 0`; `0` runs every
+    /// non-empty input dense from the start).
     pub fn with_densify_threshold(mut self, threshold: f64) -> Self {
         self.densify_threshold = threshold.max(0.0);
         self
@@ -115,7 +121,8 @@ impl TtmPlan {
     }
 
     /// The stored-density fraction at which the executor switches from the
-    /// semi-sparse representation to dense kernels.
+    /// semi-sparse representation to dense kernels, checked on the input
+    /// and again before each later chain step.
     pub fn densify_threshold(&self) -> f64 {
         self.densify_threshold
     }
@@ -162,11 +169,15 @@ impl TtmPlan {
         Ok(())
     }
 
-    /// Executes the chain on a sparse tensor: semi-sparse until the
-    /// densify threshold trips, dense workspace kernels after.
+    /// Executes the chain on a sparse tensor. An input already at least
+    /// [`Self::densify_threshold`] dense runs the whole chain on the dense
+    /// kernels ([`Self::execute_dense`] on `x.to_dense()`); a sparser one
+    /// stays semi-sparse until the threshold trips, dense after.
     ///
-    /// Bitwise identical at every thread count; see the module docs for
-    /// the determinism argument.
+    /// Both routes give the same bits for finite factors: a cell the
+    /// sparse route skips only adds `±0` to a running sum that starts at
+    /// `+0.0`. Bitwise identical at every thread count; see the module
+    /// docs for the determinism argument.
     pub fn execute_sparse(
         &self,
         x: &SparseTensor,
@@ -174,6 +185,11 @@ impl TtmPlan {
         ws: &mut Workspace,
     ) -> Result<DenseTensor> {
         self.validate(x.dims(), factors)?;
+        if let Some(size) = x.shape().checked_num_elements() {
+            if x.nnz() > 0 && x.nnz() as f64 >= self.densify_threshold * size as f64 {
+                return self.execute_dense(&x.to_dense()?, factors, ws);
+            }
+        }
         let _span = m2td_obs::span!("ttm.plan");
         m2td_obs::gauge_set("ttm.plan_madds", self.predicted_madds() as f64);
         if self.order.is_empty() || x.nnz() == 0 {

@@ -48,6 +48,12 @@ impl Shape {
         self.dims[mode]
     }
 
+    /// Row-major strides: `strides()[n] = Π_{m>n} dims[m]`.
+    #[inline]
+    pub fn strides(&self) -> &[usize] {
+        &self.strides
+    }
+
     /// Total number of elements (`Π dims`), or `None` when the product
     /// overflows `usize`. Serve-scale shapes (e.g. `[1<<22; 3]`) exceed
     /// 2⁶⁴ cells; callers that need the exact count must handle that.

@@ -5,6 +5,19 @@
 //! matrix (reconstruction) or a transposed factor matrix (core recovery:
 //! `G = X ×₁ U⁽¹⁾ᵀ ⋯ ×_N U⁽ᴺ⁾ᵀ`, the final step of Algorithms 1, 2 and 4
 //! of the paper).
+//!
+//! All four dense entry points run one strided kernel. Viewing `X` as a
+//! row-major `[high, I_n, low]` block (`high` the product of the extents
+//! before mode `n`, `low` the product of those after it), the kernel writes
+//! `Y[h, j, l] = Σ_i c(j, i) · X[h, i, l]` straight into the output: no
+//! unfolding, no product matrix, no folding. Each output element starts
+//! from `0.0` and adds its terms in ascending `i` with an unfused
+//! multiply and add. That is the per-element order of the row-streaming
+//! matmul and of a blocked GEMM whose shared dimension fits one `KC`
+//! block, so the result is bitwise identical to
+//! `fold(U · unfold(X))` for every `I_n ≤ KC = 256`. Output rows are
+//! shared out over the pool, but each element is written by one thread in
+//! that one order, so results are bitwise identical at every thread count.
 
 use crate::dense::DenseTensor;
 use crate::error::TensorError;
@@ -13,34 +26,18 @@ use crate::workspace::Workspace;
 use crate::Result;
 use m2td_linalg::Matrix;
 
+/// Minimum multiply-add count before the dense kernel fans out over the
+/// pool: below this the scoped-thread setup costs more than the work.
+const DENSE_PAR_MIN_WORK: usize = 64 * 1024;
+
 /// Dense mode-`n` product `X ×_n U` where `U` is `J × I_n`.
-///
-/// Computed as `Y₍ₙ₎ = U · X₍ₙ₎` followed by folding.
 pub fn ttm_dense(x: &DenseTensor, mode: usize, u: &Matrix) -> Result<DenseTensor> {
-    x.shape().check_mode(mode)?;
-    if u.cols() != x.shape().dim(mode) {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![u.rows(), x.shape().dim(mode)],
-            actual: vec![u.rows(), u.cols()],
-            op: "ttm_dense",
-        });
-    }
-    let unfolded = x.unfold(mode)?;
-    let product = u.matmul(&unfolded)?;
-    let out_dims: Vec<usize> = x
-        .dims()
-        .iter()
-        .enumerate()
-        .map(|(m, &d)| if m == mode { u.rows() } else { d })
-        .collect();
-    DenseTensor::fold(&product, mode, &out_dims)
+    ttm_dense_ws(x, mode, u, &mut Workspace::new())
 }
 
-/// [`ttm_dense`] drawing its unfold/product/fold buffers from a
-/// [`Workspace`] — the reconstruction-side twin of
-/// [`ttm_dense_transposed_ws`], used by Tucker recomposition and the
-/// serve-engine slice path. Numerically identical to the allocating
-/// variant: the kernels and accumulation orders are the same.
+/// [`ttm_dense`] taking its output buffer from a [`Workspace`], used by
+/// Tucker recomposition and the serve-engine slice path. Bitwise
+/// identical to the allocating variant.
 pub fn ttm_dense_ws(
     x: &DenseTensor,
     mode: usize,
@@ -55,49 +52,27 @@ pub fn ttm_dense_ws(
             op: "ttm_dense",
         });
     }
-    let mut unfolded = ws.take_matrix(0, 0);
-    x.unfold_into(mode, &mut unfolded)?;
-    let mut product = ws.take_matrix(0, 0);
-    u.matmul_into(&unfolded, &mut product)?;
-    ws.recycle_matrix(unfolded);
-    let out_dims: Vec<usize> = x
-        .dims()
-        .iter()
-        .enumerate()
-        .map(|(m, &d)| if m == mode { u.rows() } else { d })
-        .collect();
-    // take(0): fold_into sizes the buffer itself, only capacity matters.
-    let out = DenseTensor::fold_into(&product, mode, &out_dims, ws.take(0))?;
-    ws.recycle_matrix(product);
-    Ok(out)
+    // c(j, i) = U[j, i]
+    Ok(ttm_strided(
+        x,
+        mode,
+        u.rows(),
+        u.as_slice(),
+        (u.cols(), 1),
+        ws,
+    ))
 }
 
 /// Dense mode-`n` product with the transpose, `X ×_n Uᵀ`, where `U` is
-/// `I_n × J`. Avoids materializing `Uᵀ`.
+/// `I_n × J`. Reads `U` in place; `Uᵀ` is never materialized.
 pub fn ttm_dense_transposed(x: &DenseTensor, mode: usize, u: &Matrix) -> Result<DenseTensor> {
-    x.shape().check_mode(mode)?;
-    if u.rows() != x.shape().dim(mode) {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![x.shape().dim(mode), u.cols()],
-            actual: vec![u.rows(), u.cols()],
-            op: "ttm_dense_transposed",
-        });
-    }
-    let unfolded = x.unfold(mode)?;
-    let product = u.transpose_matmul(&unfolded)?;
-    let out_dims: Vec<usize> = x
-        .dims()
-        .iter()
-        .enumerate()
-        .map(|(m, &d)| if m == mode { u.cols() } else { d })
-        .collect();
-    DenseTensor::fold(&product, mode, &out_dims)
+    ttm_dense_transposed_ws(x, mode, u, &mut Workspace::new())
 }
 
-/// [`ttm_dense_transposed`] drawing its unfold/product/fold buffers from a
+/// [`ttm_dense_transposed`] taking its output buffer from a
 /// [`Workspace`], so a TTM chain (or a HOOI sweep loop) reuses the same
-/// few allocations step after step. Numerically identical to the
-/// allocating variant — the kernels and accumulation orders are the same.
+/// few allocations step after step. Bitwise identical to the allocating
+/// variant.
 pub fn ttm_dense_transposed_ws(
     x: &DenseTensor,
     mode: usize,
@@ -112,21 +87,72 @@ pub fn ttm_dense_transposed_ws(
             op: "ttm_dense_transposed",
         });
     }
-    let mut unfolded = ws.take_matrix(0, 0);
-    x.unfold_into(mode, &mut unfolded)?;
-    let mut product = ws.take_matrix(0, 0);
-    u.transpose_matmul_into(&unfolded, &mut product)?;
-    ws.recycle_matrix(unfolded);
-    let out_dims: Vec<usize> = x
-        .dims()
-        .iter()
-        .enumerate()
-        .map(|(m, &d)| if m == mode { u.cols() } else { d })
-        .collect();
-    // take(0): fold_into sizes the buffer itself, only capacity matters.
-    let out = DenseTensor::fold_into(&product, mode, &out_dims, ws.take(0))?;
-    ws.recycle_matrix(product);
-    Ok(out)
+    // c(j, i) = U[i, j]
+    Ok(ttm_strided(
+        x,
+        mode,
+        u.cols(),
+        u.as_slice(),
+        (1, u.cols()),
+        ws,
+    ))
+}
+
+/// The dense kernel behind every entry point above: `X ×_n C` for the
+/// `j_dim × I_n` coefficient matrix `c(j, i) = coef[j·sj + i·si]`, with
+/// `(sj, si)` the coefficient strides. See the module docs for the
+/// accumulation order.
+fn ttm_strided(
+    x: &DenseTensor,
+    mode: usize,
+    j_dim: usize,
+    coef: &[f64],
+    (sj, si): (usize, usize),
+    ws: &mut Workspace,
+) -> DenseTensor {
+    let dims = x.dims();
+    let i_dim = dims[mode];
+    let low: usize = dims[mode + 1..].iter().product();
+    let mut out_dims = dims.to_vec();
+    out_dims[mode] = j_dim;
+    let total: usize = out_dims.iter().product();
+    let mut out = DenseTensor::from_vec(&out_dims, ws.take(total))
+        .expect("take(total) returns a buffer of exactly that length");
+    if total == 0 {
+        return out;
+    }
+    let src = x.as_slice();
+    // Output row `h` is the `J × low` block `Y[h, .., ..]`.
+    let block = |h: usize, out_block: &mut [f64]| {
+        let x_block = &src[h * i_dim * low..(h + 1) * i_dim * low];
+        if low == 1 {
+            // Last-mode product: each output is a dot product over `i`;
+            // the fiber loop below would pay its setup per single element.
+            for (j, o) in out_block.iter_mut().enumerate() {
+                for (i, &xv) in x_block.iter().enumerate() {
+                    *o += coef[j * sj + i * si] * xv;
+                }
+            }
+            return;
+        }
+        for (j, out_fiber) in out_block.chunks_exact_mut(low).enumerate() {
+            for (i, x_fiber) in x_block.chunks_exact(low).enumerate() {
+                let c = coef[j * sj + i * si];
+                for (o, &xv) in out_fiber.iter_mut().zip(x_fiber) {
+                    *o += c * xv;
+                }
+            }
+        }
+    };
+    let data = out.as_mut_slice();
+    if total * i_dim < DENSE_PAR_MIN_WORK {
+        for (h, out_block) in data.chunks_mut(j_dim * low).enumerate() {
+            block(h, out_block);
+        }
+    } else {
+        m2td_par::par_rows_mut(data, j_dim * low, block);
+    }
+    out
 }
 
 /// Sparse mode-`n` product `X ×_n U` (`U` is `J × I_n`), producing a dense

@@ -1,18 +1,16 @@
 //! Reusable buffer pool for TTM chains and HOOI sweeps.
 //!
-//! Every step of a core-recovery chain needs an unfold matrix, a product
-//! matrix and a fold buffer; HOOI repeats the chain every sweep. Without
-//! reuse that is three allocations per mode per sweep, each sized by an
-//! intermediate tensor. [`Workspace`] keeps retired buffers and hands the
-//! largest one back on the next request, so a chain settles into steady
-//! state with zero allocator traffic after the first step.
+//! Every step of a core-recovery chain needs an output buffer sized by
+//! its intermediate tensor; HOOI repeats the chain every sweep. Without
+//! reuse that is one allocation per mode per sweep. [`Workspace`] keeps
+//! retired buffers and hands the largest one back on the next request, so
+//! a chain settles into steady state with zero allocator traffic after
+//! the first step.
 //!
 //! Buffers are plain `Vec<f64>`; [`Workspace::take`] returns them zeroed
-//! (zeroing is cheap next to the matmuls they feed), so reuse can never
+//! (zeroing is cheap next to the products they feed), so reuse can never
 //! change a numerical result — the kernels see exactly the freshly
 //! allocated state they would otherwise have.
-
-use m2td_linalg::Matrix;
 
 /// Retired buffers kept beyond this count are dropped (largest-first
 /// retention), bounding the pool's memory to the few live intermediates a
@@ -50,12 +48,6 @@ impl Workspace {
         }
     }
 
-    /// Returns a zeroed `rows x cols` matrix backed by a pooled buffer.
-    pub fn take_matrix(&mut self, rows: usize, cols: usize) -> Matrix {
-        Matrix::from_vec(rows, cols, self.take(rows * cols))
-            .expect("take(rows*cols) returns a buffer of exactly that length")
-    }
-
     /// Returns a buffer to the pool for later reuse.
     pub fn recycle(&mut self, buf: Vec<f64>) {
         if buf.capacity() == 0 {
@@ -69,11 +61,6 @@ impl Workspace {
                 self.pool.swap_remove(i);
             }
         }
-    }
-
-    /// Recycles a matrix's backing buffer.
-    pub fn recycle_matrix(&mut self, m: Matrix) {
-        self.recycle(m.into_vec());
     }
 
     /// Recycles a dense tensor's backing buffer.
@@ -106,17 +93,6 @@ mod tests {
         assert_eq!(again, vec![0.0; 8]);
         assert_eq!(ws.reuse_hits(), 1);
         assert_eq!(ws.takes(), 2);
-    }
-
-    #[test]
-    fn take_matrix_round_trips_through_recycle() {
-        let mut ws = Workspace::new();
-        let m = ws.take_matrix(3, 4);
-        assert_eq!(m.shape(), (3, 4));
-        ws.recycle_matrix(m);
-        let m2 = ws.take_matrix(2, 2);
-        assert!(m2.as_slice().iter().all(|&x| x == 0.0));
-        assert_eq!(ws.reuse_hits(), 1);
     }
 
     #[test]
