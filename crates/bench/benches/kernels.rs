@@ -7,6 +7,8 @@ use m2td_bench::criterion_group;
 use m2td_bench::harness::{BatchSize, Criterion};
 use m2td_bench::registry::bench_thread_counts;
 use m2td_linalg::{gram_left_singular_vectors, householder_qr, svd, symmetric_eig, Matrix};
+use m2td_sim::systems::{DoublePendulum, TriplePendulum};
+use m2td_sim::{EnsembleBuilder, EnsembleSystem, TimeGrid};
 use m2td_sketch::{range_finder, SketchConfig, SketchPolicy};
 use m2td_stitch::{stitch, StitchKind};
 use m2td_tensor::{
@@ -329,6 +331,39 @@ fn bench_stitch(c: &mut Criterion) {
     g.finish();
 }
 
+/// Simulation cost — the `sim` family in `BENCH_kernels.json`. One RK4
+/// trajectory of each pendulum on the end-to-end benchmark's time grid
+/// (t_end 2, 10 stamps, 16 substeps), plus a resolution-3 triple-pendulum
+/// ground truth (81 trajectories). Simulation is serial, so the family
+/// runs at one thread whatever `M2TD_THREADS` says.
+fn bench_sim(c: &mut Criterion) {
+    m2td_par::set_max_threads(1);
+    let grid = TimeGrid::new(2.0, 10, 16);
+    let double = DoublePendulum::default();
+    let triple = TriplePendulum::default();
+    let double_params = double.default_space(5).default_values();
+    let triple_params = triple.default_space(5).default_values();
+    let space3 = triple.default_space(3);
+    let builder = EnsembleBuilder::new(&triple, &space3, &grid);
+
+    let mut g = c.benchmark_group("sim");
+    // Many samples: one trajectory takes tens of microseconds, so a short
+    // window would price whatever else the box was doing at the time.
+    g.sample_size(500);
+    g.bench_function("double_pendulum_trajectory", |b| {
+        b.iter(|| double.simulate(black_box(&double_params), &grid))
+    });
+    g.bench_function("triple_pendulum_trajectory", |b| {
+        b.iter(|| triple.simulate(black_box(&triple_params), &grid))
+    });
+    g.sample_size(20);
+    g.bench_function("triple_pendulum_ground_truth_r3", |b| {
+        b.iter(|| black_box(&builder).ground_truth().unwrap())
+    });
+    g.finish();
+    m2td_par::set_max_threads(0);
+}
+
 fn bench_shape_math(c: &mut Criterion) {
     let mut g = c.benchmark_group("shape");
     let shape = Shape::new(&[14, 14, 14, 14, 14]);
@@ -622,6 +657,7 @@ criterion_group!(
     bench_sketch,
     bench_gram_and_hosvd,
     bench_stitch,
+    bench_sim,
     bench_shape_math,
     bench_incremental_gram,
     bench_dist_overhead,

@@ -188,7 +188,8 @@ FLAGS (bench-diff):
   --families <csv>       benchmark groups gated by --max-regress; other
                          groups are reported but never fail — except
                          that a gated baseline record missing from
-                         --current also fails   [default gemm,ttm_chain]
+                         --current also fails
+                         [default gemm,ttm_chain,sim]
 
 EXIT CODES:
   0  success
@@ -987,7 +988,7 @@ fn run_bench_diff(args: &Args) -> Result<u8, String> {
     }
     let families: Vec<String> = args
         .get("families")
-        .unwrap_or("gemm,ttm_chain")
+        .unwrap_or("gemm,ttm_chain,sim")
         .split(',')
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())

@@ -195,3 +195,31 @@ fn missing_or_malformed_inputs_are_usage_errors() {
     assert_eq!(code, 2, "missing current file is an error");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn sim_family_is_gated_by_default() {
+    let dir = std::env::temp_dir().join("m2td_bench_diff_sim");
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = dir.join("base.json");
+    let cur = dir.join("cur.json");
+    write_records(
+        &base,
+        &[record("sim", "triple_pendulum_trajectory", 1, 1.0e5)],
+    );
+    write_records(
+        &cur,
+        &[record("sim", "triple_pendulum_trajectory", 1, 1.6e5)],
+    );
+    let (code, text) = bench_diff(&[
+        "--baseline",
+        base.to_str().unwrap(),
+        "--current",
+        cur.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        code, 3,
+        "a sim regression must fail the default gate:\n{text}"
+    );
+    assert!(text.contains("REGRESSION"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

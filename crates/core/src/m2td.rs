@@ -362,10 +362,12 @@ fn ls_projection_factor(u: &m2td_linalg::Matrix) -> Result<m2td_linalg::Matrix> 
         gram.set(i, i, gram.get(i, i) + ridge);
     }
     // Solve (UᵀU) Xᵀ = Uᵀ row-by-row of U: each row w_i of W solves
-    // (UᵀU) w_i = u_i where u_i is the i-th row of U.
+    // (UᵀU) w_i = u_i where u_i is the i-th row of U. The Gram is factored
+    // once and every row reuses the factor.
+    let factor = m2td_linalg::cholesky(&gram)?;
     let mut w = m2td_linalg::Matrix::zeros(u.rows(), r);
     for i in 0..u.rows() {
-        let sol = m2td_linalg::solve_spd(&gram, u.row(i))?;
+        let sol = factor.solve(u.row(i))?;
         w.row_mut(i).copy_from_slice(&sol);
     }
     Ok(w)

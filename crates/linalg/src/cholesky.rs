@@ -1,7 +1,16 @@
 //! Cholesky factorisation of symmetric positive-definite matrices.
 //!
-//! Used by the CP-ALS extension (normal-equation solves) and by tests as an
-//! independent check of positive-definiteness.
+//! Serves every SPD solve in the workspace: the triple pendulum's 3×3
+//! mass-matrix solve (on stack arrays, once per RK4 stage), the
+//! least-squares core projection's `r × r` Gram (factored once per
+//! factor matrix), the CP-ALS normal equations, and tests that check
+//! positive-definiteness.
+//!
+//! Each algorithm has one body, a slice kernel over row-major `&[f64]`
+//! (`factor_into`, `back_substitute_transposed`, and the forward
+//! substitution in `solve.rs`); the [`Matrix`] APIs check shapes and call
+//! it, and [`crate::solve_spd_in_place`] chains the three on caller-owned
+//! buffers.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -23,23 +32,9 @@ impl CholeskyFactor {
     }
 
     /// Solves `A x = b` (with `A = L Lᵀ`) by forward and back substitution.
-    #[allow(clippy::needless_range_loop)] // `x` is read before being written at index k
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let y = crate::solve::solve_lower_triangular(&self.l, b)?;
-        // Back substitution with Lᵀ without materializing the transpose.
-        let n = self.l.rows();
-        let mut x = y;
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for k in (i + 1)..n {
-                s -= self.l.get(k, i) * x[k];
-            }
-            let d = self.l.get(i, i);
-            if d.abs() < f64::EPSILON {
-                return Err(LinalgError::SingularPivot { pivot: i, value: d });
-            }
-            x[i] = s / d;
-        }
+        let mut x = crate::solve::solve_lower_triangular(&self.l, b)?;
+        back_substitute_transposed(self.l.as_slice(), self.l.rows(), &mut x)?;
         Ok(x)
     }
 }
@@ -61,26 +56,68 @@ pub fn cholesky(a: &Matrix) -> Result<CholeskyFactor> {
         return Err(LinalgError::EmptyInput);
     }
     let mut l = Matrix::zeros(n, n);
+    factor_into(a.as_slice(), n, l.as_mut_slice())?;
+    Ok(CholeskyFactor { l })
+}
+
+/// Cholesky kernel: writes the lower-triangular factor of the row-major
+/// `n × n` SPD matrix `a` into the row-major `n × n` buffer `l`. Only the
+/// lower triangle of `l` is written or read.
+///
+/// Column by column, the pivot is `a_jj − Σ_{k<j} l_jk²` and the entries
+/// below it are `(a_ij − Σ_{k<j} l_ik l_jk) / l_jj`, each sum taken in
+/// ascending `k`.
+///
+/// # Errors
+///
+/// [`LinalgError::NotPositiveDefinite`] at the first non-positive or
+/// non-finite pivot; `l` is then partially written.
+#[inline]
+pub(crate) fn factor_into(a: &[f64], n: usize, l: &mut [f64]) -> Result<()> {
     for j in 0..n {
-        let mut d = a.get(j, j);
+        let mut d = a[j * n + j];
         for k in 0..j {
-            let ljk = l.get(j, k);
+            let ljk = l[j * n + k];
             d -= ljk * ljk;
         }
         if d <= 0.0 || !d.is_finite() {
             return Err(LinalgError::NotPositiveDefinite { pivot: j, value: d });
         }
         let djj = d.sqrt();
-        l.set(j, j, djj);
+        l[j * n + j] = djj;
         for i in (j + 1)..n {
-            let mut s = a.get(i, j);
+            let mut s = a[i * n + j];
             for k in 0..j {
-                s -= l.get(i, k) * l.get(j, k);
+                s -= l[i * n + k] * l[j * n + k];
             }
-            l.set(i, j, s / djj);
+            l[i * n + j] = s / djj;
         }
     }
-    Ok(CholeskyFactor { l })
+    Ok(())
+}
+
+/// Back-substitution kernel: solves `Lᵀ x = y` in place (`x` holds `y` on
+/// entry) for the row-major `n × n` lower-triangular `l`, without
+/// materializing the transpose.
+///
+/// # Errors
+///
+/// [`LinalgError::SingularPivot`] on a (near-)zero diagonal entry.
+#[inline]
+#[allow(clippy::needless_range_loop)] // `x` is read before being written at index k
+pub(crate) fn back_substitute_transposed(l: &[f64], n: usize, x: &mut [f64]) -> Result<()> {
+    for i in (0..n).rev() {
+        let mut s = x[i];
+        for k in (i + 1)..n {
+            s -= l[k * n + i] * x[k];
+        }
+        let d = l[i * n + i];
+        if d.abs() < f64::EPSILON {
+            return Err(LinalgError::SingularPivot { pivot: i, value: d });
+        }
+        x[i] = s / d;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub use kron::{khatri_rao, kronecker};
 pub use lu::{lu_decompose, LuFactors};
 pub use matrix::Matrix;
 pub use qr::{householder_qr, QrFactors};
-pub use solve::{solve_lower_triangular, solve_spd, solve_upper_triangular};
+pub use solve::{solve_lower_triangular, solve_spd, solve_spd_in_place, solve_upper_triangular};
 pub use svd::{gram_left_singular_vectors, svd, truncated_left_singular_vectors, Svd};
 pub use vecops::{axpy, dot, norm2, norm2_iter, normalize, scale_in_place};
 

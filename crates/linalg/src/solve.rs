@@ -1,6 +1,6 @@
 //! Triangular and SPD linear solvers.
 
-use crate::cholesky::cholesky;
+use crate::cholesky::{back_substitute_transposed, cholesky, factor_into};
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::Result;
@@ -13,7 +13,6 @@ use crate::Result;
 ///   shape problems.
 /// * [`LinalgError::SingularPivot`] on a (near-)zero diagonal entry,
 ///   carrying the offending pivot index and value.
-#[allow(clippy::needless_range_loop)] // forward substitution reads x[k] for k < i
 pub fn solve_lower_triangular(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     let (m, n) = l.shape();
     if m != n {
@@ -26,19 +25,33 @@ pub fn solve_lower_triangular(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
             op: "solve_lower_triangular",
         });
     }
-    let mut x = vec![0.0; n];
+    let mut x = b.to_vec();
+    forward_substitute(l.as_slice(), n, &mut x)?;
+    Ok(x)
+}
+
+/// Forward-substitution kernel: solves `L x = b` in place (`x` holds `b`
+/// on entry) for the row-major `n × n` lower-triangular `l`, reading only
+/// its lower triangle.
+///
+/// # Errors
+///
+/// [`LinalgError::SingularPivot`] on a (near-)zero diagonal entry.
+#[inline]
+#[allow(clippy::needless_range_loop)] // forward substitution reads x[k] for k < i
+pub(crate) fn forward_substitute(l: &[f64], n: usize, x: &mut [f64]) -> Result<()> {
     for i in 0..n {
-        let mut s = b[i];
+        let mut s = x[i];
         for k in 0..i {
-            s -= l.get(i, k) * x[k];
+            s -= l[i * n + k] * x[k];
         }
-        let d = l.get(i, i);
+        let d = l[i * n + i];
         if d.abs() < f64::EPSILON {
             return Err(LinalgError::SingularPivot { pivot: i, value: d });
         }
         x[i] = s / d;
     }
-    Ok(x)
+    Ok(())
 }
 
 /// Solves `U x = b` for upper-triangular `U` by back substitution.
@@ -82,6 +95,38 @@ pub fn solve_upper_triangular(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 /// errors) and substitution errors.
 pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     cholesky(a)?.solve(b)
+}
+
+/// Solves `A x = b` for the row-major `n × n` symmetric positive-definite
+/// `a` with no allocation: `l` (`n × n`) receives the Cholesky factor and
+/// `x` holds `b` on entry and the solution on success. Runs the same
+/// kernels as [`solve_spd`], so the two agree bit for bit, and so do their
+/// `NotPositiveDefinite`/`SingularPivot` errors.
+///
+/// # Errors
+///
+/// * [`LinalgError::EmptyInput`] for `n == 0`.
+/// * [`LinalgError::DimensionMismatch`] if `a` or `l` is not `n × n` or
+///   `x` is not of length `n`.
+/// * [`LinalgError::NotPositiveDefinite`] / [`LinalgError::SingularPivot`]
+///   as for [`solve_spd`]; `l` and `x` are then partially written.
+#[inline]
+pub fn solve_spd_in_place(a: &[f64], n: usize, l: &mut [f64], x: &mut [f64]) -> Result<()> {
+    if n == 0 {
+        return Err(LinalgError::EmptyInput);
+    }
+    for (len, rows, cols) in [(a.len(), n, n), (l.len(), n, n), (x.len(), n, 1)] {
+        if len != rows * cols {
+            return Err(LinalgError::DimensionMismatch {
+                left: (rows, cols),
+                right: (len, 1),
+                op: "solve_spd_in_place",
+            });
+        }
+    }
+    factor_into(a, n, l)?;
+    forward_substitute(l, n, x)?;
+    back_substitute_transposed(l, n, x)
 }
 
 #[cfg(test)]

@@ -126,6 +126,13 @@ impl<'a, S: EnsembleSystem + ?Sized> EnsembleBuilder<'a, S> {
 
     /// Replaces the observed reference system with the simulation at the
     /// given parameter indices.
+    ///
+    /// # Errors
+    ///
+    /// * [`SimError::ParamCountMismatch`] if `indices` does not have one
+    ///   entry per parameter axis.
+    /// * [`SimError::Tensor`] wrapping [`TensorError::IndexOutOfBounds`] if
+    ///   an index is not below its axis's resolution.
     pub fn with_observed_indices(mut self, indices: &[usize]) -> Result<Self, SimError> {
         if indices.len() != self.space.num_params() {
             return Err(SimError::ParamCountMismatch {
@@ -133,6 +140,7 @@ impl<'a, S: EnsembleSystem + ?Sized> EnsembleBuilder<'a, S> {
                 got: indices.len(),
             });
         }
+        Shape::new(&self.space.resolutions()).check_index(indices)?;
         let params = self.space.values_at(indices);
         self.observed = self.system.simulate(&params, self.grid);
         Ok(self)
@@ -407,5 +415,24 @@ mod tests {
         assert!(EnsembleBuilder::new(&sys, &space, &grid)
             .with_observed_indices(&[0, 0])
             .is_err());
+    }
+
+    #[test]
+    fn observed_index_out_of_range_is_an_error_not_a_panic() {
+        let (sys, space, grid) = setup();
+        for bad in [[0, 0, 3, 0], [0, 0, 0, usize::MAX]] {
+            match EnsembleBuilder::new(&sys, &space, &grid).with_observed_indices(&bad) {
+                Err(SimError::Tensor(TensorError::IndexOutOfBounds { index, shape })) => {
+                    assert_eq!(index, bad.to_vec());
+                    assert_eq!(shape, vec![3, 3, 3, 3]);
+                }
+                Err(other) => panic!("expected IndexOutOfBounds, got {other}"),
+                Ok(_) => panic!("index {bad:?} accepted"),
+            }
+        }
+        // The last in-range index is still accepted.
+        assert!(EnsembleBuilder::new(&sys, &space, &grid)
+            .with_observed_indices(&[2, 2, 2, 2])
+            .is_ok());
     }
 }

@@ -1,4 +1,9 @@
 //! Fixed-step fourth-order Runge–Kutta integration.
+//!
+//! [`integrate`] and its RK4 step are generic over the system, so each
+//! system's `derivative` is statically dispatched and inlined into the
+//! step; `&dyn DynamicalSystem` callers still work (`S = dyn
+//! DynamicalSystem`). The stage buffers are allocated once per trajectory.
 
 /// A continuous-time dynamical system `ẋ = f(t, x)`.
 pub trait DynamicalSystem {
@@ -64,8 +69,8 @@ impl Trajectory {
 /// recording a sample every `sample_dt` with `substeps` RK4 steps between
 /// consecutive samples. The initial state is recorded as sample 0, so the
 /// returned trajectory holds `n_samples + 1` states.
-pub fn integrate(
-    sys: &dyn DynamicalSystem,
+pub fn integrate<S: DynamicalSystem + ?Sized>(
+    sys: &S,
     initial: &[f64],
     t0: f64,
     sample_dt: f64,
@@ -106,8 +111,8 @@ pub fn integrate(
 
 /// One classic RK4 step in place.
 #[allow(clippy::too_many_arguments)]
-fn rk4_step(
-    sys: &dyn DynamicalSystem,
+fn rk4_step<S: DynamicalSystem + ?Sized>(
+    sys: &S,
     t: f64,
     state: &mut [f64],
     h: f64,
@@ -219,6 +224,14 @@ mod tests {
         assert_eq!(a.state_distance(&b, 2), 0.0);
         let c = integrate(&Oscillator, &[2.0, 0.0], 0.0, 0.1, 0, 5);
         assert!((a.state_distance(&c, 0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn static_and_dynamic_dispatch_agree() {
+        let sys: &dyn DynamicalSystem = &Oscillator;
+        let dynamic = integrate(sys, &[0.3, -0.7], 0.0, 0.1, 20, 7);
+        let stat = integrate(&Oscillator, &[0.3, -0.7], 0.0, 0.1, 20, 7);
+        assert_eq!(dynamic, stat);
     }
 
     #[test]
