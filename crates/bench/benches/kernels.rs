@@ -9,7 +9,7 @@ use m2td_bench::registry::bench_thread_counts;
 use m2td_linalg::{gram_left_singular_vectors, householder_qr, svd, symmetric_eig, Matrix};
 use m2td_sim::systems::{DoublePendulum, TriplePendulum};
 use m2td_sim::{EnsembleBuilder, EnsembleSystem, TimeGrid};
-use m2td_sketch::{range_finder, SketchConfig, SketchPolicy};
+use m2td_sketch::{SketchConfig, SketchPolicy};
 use m2td_stitch::{stitch, StitchKind};
 use m2td_tensor::{
     hosvd_sparse, hosvd_sparse_exact, hosvd_sparse_sketched, sparse_core, ttm_dense,
@@ -209,41 +209,15 @@ fn bench_ttm_chain(c: &mut Criterion) {
 }
 
 /// Randomized (sketched) kernels vs their exact counterparts — the
-/// `sketch` family in `BENCH_kernels.json`. Two headline shapes:
+/// `sketch` family in `BENCH_kernels.json`: the `cube12_r4` sparse HOSVD
+/// with MACH entry sampling vs the exact sparse HOSVD.
 ///
-/// * a tall-skinny matrix (the shape where the Gaussian range-finder's
-///   `O(mns)` beats the exact route), sketched vs `svd`-backed exact
-///   factors at rank 4, and
-/// * the `cube12_r4` sparse HOSVD with MACH entry sampling vs the exact
-///   sparse HOSVD.
-///
-/// Each sketched record carries its measured `rel_err` (computed outside
+/// Each record carries its measured `rel_err` (computed outside
 /// the timed region) so the JSON trajectory tracks accuracy next to
 /// speed.
 fn bench_sketch(c: &mut Criterion) {
     let mut g = c.benchmark_group("sketch");
     g.sample_size(15);
-
-    // Tall-skinny range-finder: 1024 rows, 64 columns, rank 8 — big
-    // enough that the exact Jacobi's `O(m n^2)` sweeps dwarf the
-    // sketch's `O(m n s)` products.
-    let a = Matrix::from_fn(1024, 64, |i, j| {
-        ((i * 7 + j * 3) as f64 * 0.013).sin() + 0.01 * ((i * j) as f64 * 0.9).sin()
-    });
-    let rank = 8;
-    let cfg = SketchConfig::with_size(16)
-        .with_seed(0x5EED)
-        .with_power_iters(1);
-    g.bench_function("range_finder_exact_1024x64_r8", |b| {
-        b.iter(|| svd(black_box(&a)).unwrap())
-    });
-    let exact_u = svd(&a).unwrap().u.leading_columns(rank).unwrap();
-    g.attach_rel_err(projection_rel_err(&a, &exact_u));
-    g.bench_function("range_finder_sketched_1024x64_r8", |b| {
-        b.iter(|| range_finder(black_box(&a), rank, &cfg).unwrap())
-    });
-    let sketched = range_finder(&a, rank, &cfg).unwrap();
-    g.attach_rel_err(sketched.rel_err);
 
     // MACH-sampled sparse HOSVD on the cube12 bench shape.
     let sparse = full_sparse(&[12, 12, 12, 12]);
@@ -263,20 +237,6 @@ fn bench_sketch(c: &mut Criterion) {
     g.attach_rel_err(rel_err);
 
     g.finish();
-}
-
-/// `‖A − UUᵀA‖_F / ‖A‖_F` for an orthonormal `U` — the same projection
-/// residual the sketched range-finder reports, measured here for the
-/// exact route so the two records are comparable.
-fn projection_rel_err(a: &Matrix, u: &Matrix) -> f64 {
-    let proj = u.matmul(&u.transpose().matmul(a).unwrap()).unwrap();
-    let num = a.sub(&proj).unwrap().frobenius_norm();
-    let den = a.frobenius_norm();
-    if den > 0.0 {
-        num / den
-    } else {
-        0.0
-    }
 }
 
 /// Reconstruction error of a sparse-tensor Tucker decomposition via the

@@ -33,13 +33,20 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
+    /// Parses `--key value` pairs for `command`, rejecting any key not in
+    /// `known`: a misspelt or retired flag fails instead of being ignored.
+    fn parse(command: &str, raw: &[String], known: &[&str]) -> Result<Self, String> {
         let mut flags = HashMap::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{a}'"));
             };
+            if !known.contains(&key) {
+                return Err(format!(
+                    "unknown flag --{key} for {command} (see m2td-cli --help)"
+                ));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("flag --{key} needs a value"))?;
@@ -61,6 +68,75 @@ impl Args {
         }
     }
 }
+
+/// Flags `run` and `compare` both read.
+const EXPERIMENT_FLAGS: &[&str] = &[
+    "system",
+    "resolution",
+    "rank",
+    "seed",
+    "noise",
+    "pivot",
+    "p-frac",
+    "e-frac",
+    "cell-frac",
+    "threads",
+    "fault-rate",
+    "fault-seed",
+    "max-retries",
+    "metrics-out",
+    "guard-policy",
+    "error-budget",
+    "corrupt-rate",
+    "sketch-size",
+    "sketch-seed",
+    "sketch-policy",
+];
+
+/// Flags only `run` reads.
+const RUN_ONLY_FLAGS: &[&str] = &["method", "groups", "save"];
+
+const DIST_FLAGS: &[&str] = &[
+    "dir",
+    "workers",
+    "transport",
+    "p-dim",
+    "f-dim",
+    "rank",
+    "kill-rate",
+    "straggle-rate",
+    "straggle-secs",
+    "xport-corrupt-rate",
+    "doom-tasks",
+    "doom-job",
+    "fault-seed",
+    "max-retries",
+    "min-coverage",
+    "metrics-out",
+];
+
+const SERVE_FLAGS: &[&str] = &[
+    "dims",
+    "ranks",
+    "fill",
+    "staleness",
+    "cache-capacity",
+    "queries",
+    "slices",
+    "threads",
+    "corrupt-rate",
+    "fault-seed",
+    "guard-policy",
+    "state-dir",
+    "wal-sync-every",
+    "snapshot-every",
+    "crash-at",
+    "metrics-out",
+];
+
+const BENCH_DIFF_FLAGS: &[&str] = &["baseline", "current", "max-regress", "families"];
+
+const DLQ_FLAGS: &[&str] = &["dir"];
 
 fn usage() -> &'static str {
     "m2td-cli — partition-stitch ensemble experiments (M2TD, ICDE 2018)
@@ -93,7 +169,6 @@ FLAGS (run/compare):
   --p-frac <f>           pivot density in (0,1]           [default 1]
   --e-frac <f>           sub-ensemble density in (0,1]    [default 1]
   --cell-frac <f>        budget fraction in (0,1]         [default 1]
-  --groups <n>           multi-way partition group count  [default 2]
   --threads <n>          compute threads (0 = auto; overrides
                          M2TD_THREADS)                    [default 0]
   --fault-rate <f>       per-attempt simulation failure
@@ -111,10 +186,9 @@ FLAGS (run/compare):
                          reported UNHEALTHY (exit code 3)
   --corrupt-rate <f>     chaos stream: fraction of simulated cells
                          poisoned with NaN, in [0,1)      [default 0]
-  --sketch-size <n>      install the m2td-sketch layer: randomized
-                         range-finder / sketched-Gram width [default 8]
+  --sketch-size <n>      install the m2td-sketch layer: sketched-Gram
+                         width                            [default 8]
   --sketch-seed <n>      seed of the sketch RNG stream    [default 0x5EED]
-  --power-iters <n>      range-finder power iterations    [default 1]
   --sketch-policy <p>    sketch policy:
                          gaussian | mach[:keep] | mach-biased[:keep]
                                                           [default gaussian]
@@ -123,6 +197,7 @@ FLAGS (run only):
   --method <m>           select | avg | concat | zero-join |
                          random | grid | slice | latin-hypercube | stratified
                                                           [default select]
+  --groups <n>           multi-way partition group count  [default 2]
   --save <path>          write the Tucker decomposition as JSON
 
 FLAGS (dist):
@@ -250,7 +325,11 @@ fn run() -> Result<u8, String> {
             Ok(0)
         }
         "run" | "compare" => {
-            let args = Args::parse(&raw[1..])?;
+            let known = match command {
+                "run" => [EXPERIMENT_FLAGS, RUN_ONLY_FLAGS].concat(),
+                _ => EXPERIMENT_FLAGS.to_vec(),
+            };
+            let args = Args::parse(command, &raw[1..], &known)?;
             // Install telemetry before any work runs so simulation,
             // decomposition and fault spans are all captured.
             let metrics_out = args.get("metrics-out").map(str::to_string);
@@ -267,7 +346,7 @@ fn run() -> Result<u8, String> {
             outcome.map(|healthy| if healthy { 0 } else { 3 })
         }
         "dist" => {
-            let args = Args::parse(&raw[1..])?;
+            let args = Args::parse(command, &raw[1..], DIST_FLAGS)?;
             let metrics_out = args.get("metrics-out").map(str::to_string);
             if metrics_out.is_some() {
                 m2td_obs::install();
@@ -281,7 +360,7 @@ fn run() -> Result<u8, String> {
             outcome
         }
         "serve" => {
-            let args = Args::parse(&raw[1..])?;
+            let args = Args::parse(command, &raw[1..], SERVE_FLAGS)?;
             let metrics_out = args.get("metrics-out").map(str::to_string);
             if metrics_out.is_some() {
                 m2td_obs::install();
@@ -294,12 +373,12 @@ fn run() -> Result<u8, String> {
             }
             outcome
         }
-        "bench-diff" => run_bench_diff(&Args::parse(&raw[1..])?),
+        "bench-diff" => run_bench_diff(&Args::parse(command, &raw[1..], BENCH_DIFF_FLAGS)?),
         "dlq" => {
             let Some(action) = raw.get(1).map(|s| s.as_str()) else {
                 return Err(format!("dlq needs an action\n\n{}", usage()));
             };
-            run_dlq(action, &Args::parse(&raw[2..])?)
+            run_dlq(action, &Args::parse(command, &raw[2..], DLQ_FLAGS)?)
         }
         "--help" | "-h" | "help" => {
             println!("{}", usage());
@@ -390,7 +469,7 @@ fn run_experiment(command: &str, args: &Args) -> Result<bool, String> {
 
     // Sketch layer: like the guard, installed iff a sketch flag is
     // present, so plain runs stay on the bitwise-identical exact path.
-    let sketch_flags = ["sketch-size", "sketch-seed", "power-iters", "sketch-policy"];
+    let sketch_flags = ["sketch-size", "sketch-seed", "sketch-policy"];
     if sketch_flags.iter().any(|f| args.get(f).is_some()) {
         let defaults = m2td_sketch::SketchConfig::default();
         let size: usize = args.parse_or("sketch-size", defaults.size)?;
@@ -398,7 +477,6 @@ fn run_experiment(command: &str, args: &Args) -> Result<bool, String> {
             return Err("--sketch-size 0 is out of range: at least one column is needed".into());
         }
         let seed: u64 = args.parse_or("sketch-seed", defaults.seed)?;
-        let power_iters: usize = args.parse_or("power-iters", defaults.power_iters)?;
         let policy = match args.get("sketch-policy") {
             None => defaults.policy,
             Some(s) => s
@@ -408,7 +486,6 @@ fn run_experiment(command: &str, args: &Args) -> Result<bool, String> {
         m2td_sketch::install(
             m2td_sketch::SketchConfig::with_size(size)
                 .with_seed(seed)
-                .with_power_iters(power_iters)
                 .with_policy(policy),
         );
     }

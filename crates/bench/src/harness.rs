@@ -66,20 +66,6 @@ impl Criterion {
         }
         crate::report::write_kernel_records(&records, path)
     }
-
-    /// Prints a one-line summary per record.
-    pub fn final_summary(&self) {
-        for r in &self.records {
-            println!(
-                "{}/{}: {} ({} samples, threads={})",
-                r.group,
-                r.name,
-                format_ns(r.mean_ns),
-                r.samples,
-                r.threads
-            );
-        }
-    }
 }
 
 /// A group of related benchmarks sharing a sample size.

@@ -145,8 +145,8 @@ pub struct TaskEnvelope {
     pub task: u64,
     /// Attempt number this envelope was dispatched for.
     pub attempt: u32,
-    /// FNV-1a-64 over the identity fields and the payload (see
-    /// [`TaskEnvelope::checksum_of`]).
+    /// FNV-1a-64 over the identity fields followed by the payload bytes;
+    /// [`TaskEnvelope::decode`] recomputes it before parsing the payload.
     pub checksum: u64,
     /// The serialized task input or output.
     pub payload: String,

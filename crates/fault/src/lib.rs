@@ -201,7 +201,7 @@ pub struct FaultPlan {
     /// decomposition (models a diverged solver writing garbage output that
     /// passes the scheduler but poisons the numerics).
     pub nan_cell_rate: f64,
-    /// Probability that a serialized [`TaskEnvelope`] crossing the
+    /// Probability that a serialized `m2td_dist::TaskEnvelope` crossing the
     /// transport is corrupted in flight (the wire stream; see
     /// [`FaultPlan::wire_corruption`]). Wire corruption is detected by the
     /// envelope checksum and retried, so it costs attempts, never numerics.

@@ -209,17 +209,6 @@ impl Json {
         }
     }
 
-    /// Object entries.
-    pub fn as_object(&self) -> Result<&[(String, Json)], JsonError> {
-        match self {
-            Json::Obj(v) => Ok(v),
-            other => Err(JsonError::Type {
-                expected: "object",
-                found: other.type_name(),
-            }),
-        }
-    }
-
     /// Compact single-line rendering.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();

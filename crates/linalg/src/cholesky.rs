@@ -3,8 +3,7 @@
 //! Serves every SPD solve in the workspace: the triple pendulum's 3×3
 //! mass-matrix solve (on stack arrays, once per RK4 stage), the
 //! least-squares core projection's `r × r` Gram (factored once per
-//! factor matrix), the CP-ALS normal equations, and tests that check
-//! positive-definiteness.
+//! factor matrix), and tests that check positive-definiteness.
 //!
 //! Each algorithm has one body, a slice kernel over row-major `&[f64]`
 //! (`factor_into`, `back_substitute_transposed`, and the forward

@@ -1,13 +1,13 @@
 //! Cache-blocked, panel-packed GEMM backend (DESIGN.md §16).
 //!
 //! All four dense mult entry points on [`crate::Matrix`] route through
-//! [`gemm`] once they clear [`BLOCKED_MIN_FLOPS`]. The driver follows the
-//! classic GotoBLAS/BLIS decomposition: the output is cut into `NC × MC`
-//! macro-tiles, each tile walks the shared dimension in `KC` blocks,
-//! packing an `MC × KC` A-block into row micro-panels of height [`MR`] and
-//! a `KC × NC` B-block into column micro-panels of width [`NR`], and an
-//! unrolled `MR × NR` register micro-kernel accumulates each `KC` block
-//! before flushing it into the output. Packing buffers come from a
+//! the crate-private `gemm` once they clear [`BLOCKED_MIN_FLOPS`]. The
+//! driver follows the classic GotoBLAS/BLIS decomposition: the output is
+//! cut into `NC × MC` macro-tiles, each tile walks the shared dimension
+//! in `KC` blocks, packing an `MC × KC` A-block into row micro-panels of
+//! height [`MR`] and a `KC × NC` B-block into column micro-panels of
+//! width [`NR`], and an unrolled `MR × NR` register micro-kernel
+//! accumulates each `KC` block before flushing it into the output. Packing buffers come from a
 //! process-wide pool (the `m2td-tensor` `Workspace` idea pushed down into
 //! linalg) so steady-state GEMMs allocate nothing.
 //!

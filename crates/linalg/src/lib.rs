@@ -25,8 +25,6 @@ mod cholesky;
 mod eig;
 mod error;
 pub mod kernel;
-mod kron;
-mod lu;
 mod matrix;
 mod qr;
 mod solve;
@@ -36,13 +34,11 @@ mod vecops;
 pub use cholesky::{cholesky, CholeskyFactor};
 pub use eig::{symmetric_eig, SymmetricEig};
 pub use error::LinalgError;
-pub use kron::{khatri_rao, kronecker};
-pub use lu::{lu_decompose, LuFactors};
 pub use matrix::Matrix;
 pub use qr::{householder_qr, QrFactors};
-pub use solve::{solve_lower_triangular, solve_spd, solve_spd_in_place, solve_upper_triangular};
-pub use svd::{gram_left_singular_vectors, svd, truncated_left_singular_vectors, Svd};
-pub use vecops::{axpy, dot, norm2, norm2_iter, normalize, scale_in_place};
+pub use solve::{solve_lower_triangular, solve_spd, solve_spd_in_place};
+pub use svd::{gram_left_singular_vectors, svd, Svd};
+pub use vecops::{dot, norm2, norm2_iter};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;

@@ -218,7 +218,7 @@ impl Matrix {
 
     /// Copies column `j` into `out`, clearing it first and reusing its
     /// allocation — the buffer-reuse variant of [`Self::col`] for column
-    /// sweeps (Jacobi SVD norms, CP column extraction) that would
+    /// sweeps (Jacobi SVD norms) that would
     /// otherwise allocate once per column per iteration.
     pub fn col_into(&self, j: usize, out: &mut Vec<f64>) {
         debug_assert!(j < self.cols);
@@ -231,14 +231,6 @@ impl Matrix {
     pub fn col_iter(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
         debug_assert!(j < self.cols);
         self.data.iter().skip(j).step_by(self.cols.max(1)).copied()
-    }
-
-    /// Overwrites column `j` with `v`.
-    pub fn set_col(&mut self, j: usize, v: &[f64]) {
-        debug_assert!(j < self.cols && v.len() == self.rows);
-        for (i, &x) in v.iter().enumerate() {
-            self.data[i * self.cols + j] = x;
-        }
     }
 
     /// Euclidean norm of row `i`. This is the "row energy" used by the
@@ -867,14 +859,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[3.0, 4.0], &[0.0, 0.0]]).unwrap();
         assert!(approx(a.row_norm(0), 5.0));
         assert_eq!(a.row_norm(1), 0.0);
-    }
-
-    #[test]
-    fn set_col_writes_column() {
-        let mut a = Matrix::zeros(2, 2);
-        a.set_col(1, &[5.0, 6.0]);
-        assert_eq!(a.get(0, 1), 5.0);
-        assert_eq!(a.get(1, 1), 6.0);
     }
 
     #[test]

@@ -54,39 +54,6 @@ pub(crate) fn forward_substitute(l: &[f64], n: usize, x: &mut [f64]) -> Result<(
     Ok(())
 }
 
-/// Solves `U x = b` for upper-triangular `U` by back substitution.
-///
-/// # Errors
-///
-/// Same as [`solve_lower_triangular`].
-#[allow(clippy::needless_range_loop)] // back substitution reads x[k] for k > i
-pub fn solve_upper_triangular(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let (m, n) = u.shape();
-    if m != n {
-        return Err(LinalgError::NotSquare { shape: (m, n) });
-    }
-    if b.len() != n {
-        return Err(LinalgError::DimensionMismatch {
-            left: (m, n),
-            right: (b.len(), 1),
-            op: "solve_upper_triangular",
-        });
-    }
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut s = b[i];
-        for k in (i + 1)..n {
-            s -= u.get(i, k) * x[k];
-        }
-        let d = u.get(i, i);
-        if d.abs() < f64::EPSILON {
-            return Err(LinalgError::SingularPivot { pivot: i, value: d });
-        }
-        x[i] = s / d;
-    }
-    Ok(x)
-}
-
 /// Solves `A x = b` for symmetric positive-definite `A` via Cholesky.
 ///
 /// # Errors
@@ -141,13 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn back_substitution_known() {
-        let u = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 3.0]]).unwrap();
-        let x = solve_upper_triangular(&u, &[7.0, 9.0]).unwrap();
-        assert_eq!(x, vec![2.0, 3.0]);
-    }
-
-    #[test]
     fn singular_diagonal_is_detected() {
         let l = Matrix::from_rows(&[&[0.0, 0.0], &[1.0, 1.0]]).unwrap();
         match solve_lower_triangular(&l, &[1.0, 1.0]) {
@@ -163,7 +123,6 @@ mod tests {
     fn shape_checks() {
         let l = Matrix::identity(2);
         assert!(solve_lower_triangular(&l, &[1.0]).is_err());
-        assert!(solve_upper_triangular(&Matrix::zeros(2, 3), &[1.0, 1.0]).is_err());
     }
 
     #[test]

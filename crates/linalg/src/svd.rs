@@ -43,30 +43,6 @@ impl Svd {
         }
         us.matmul(&self.vt).expect("shapes agree by construction")
     }
-
-    /// Best rank-`r` approximation (Eckart–Young truncation).
-    pub fn truncated_reconstruct(&self, r: usize) -> Result<Matrix> {
-        let k = self.singular_values.len();
-        if r > k {
-            return Err(LinalgError::RankTooLarge {
-                requested: r,
-                available: k,
-            });
-        }
-        let u_r = self.u.leading_columns(r)?;
-        let mut us = u_r;
-        for i in 0..us.rows() {
-            for j in 0..r {
-                us.set(i, j, us.get(i, j) * self.singular_values[j]);
-            }
-        }
-        // First r rows of Vᵀ.
-        let mut vt_r = Matrix::zeros(r, self.vt.cols());
-        for i in 0..r {
-            vt_r.row_mut(i).copy_from_slice(self.vt.row(i));
-        }
-        us.matmul(&vt_r)
-    }
 }
 
 /// Maximum number of one-sided Jacobi sweeps.
@@ -238,38 +214,6 @@ pub fn gram_left_singular_vectors(a: &Matrix, r: usize) -> Result<Matrix> {
     eig.eigenvectors.leading_columns(r)
 }
 
-/// Returns the `r` leading left singular vectors of `a`, dispatching to the
-/// cheapest correct route: the Gram trick when the matrix is wider than
-/// tall (the matricization case), a full Jacobi SVD otherwise.
-///
-/// # Errors
-///
-/// Same as [`gram_left_singular_vectors`] / [`svd`].
-pub fn truncated_left_singular_vectors(a: &Matrix, r: usize) -> Result<Matrix> {
-    let (m, n) = a.shape();
-    if m == 0 || n == 0 {
-        return Err(LinalgError::EmptyInput);
-    }
-    if r > m.min(n) {
-        return Err(LinalgError::RankTooLarge {
-            requested: r,
-            available: m.min(n),
-        });
-    }
-    if n >= m {
-        gram_left_singular_vectors(a, r)
-    } else {
-        let s = svd(a)?;
-        if r > s.u.cols() {
-            return Err(LinalgError::RankTooLarge {
-                requested: r,
-                available: s.u.cols(),
-            });
-        }
-        s.u.leading_columns(r)
-    }
-}
-
 /// Checks that two orthonormal bases span the same subspace up to `tol`
 /// (used by tests comparing the Gram route against the full SVD: individual
 /// vectors may differ in sign or rotate within eigenspaces).
@@ -369,32 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_best_approximation_error() {
-        // Eckart–Young: truncated reconstruction error equals the tail
-        // singular-value energy.
-        let a = Matrix::from_fn(6, 6, |i, j| {
-            ((i * 5 + j * 2) as f64).sin() + 0.1 * (i as f64)
-        });
-        let s = svd(&a).unwrap();
-        let r = 3;
-        let rec = s.truncated_reconstruct(r).unwrap();
-        let err = a.sub(&rec).unwrap().frobenius_norm();
-        let tail: f64 = s.singular_values[r..]
-            .iter()
-            .map(|x| x * x)
-            .sum::<f64>()
-            .sqrt();
-        assert!((err - tail).abs() < 1e-9, "err {err} vs tail {tail}");
-    }
-
-    #[test]
-    fn truncation_rank_too_large() {
-        let a = Matrix::identity(3);
-        let s = svd(&a).unwrap();
-        assert!(s.truncated_reconstruct(4).is_err());
-    }
-
-    #[test]
     fn gram_route_matches_full_svd_subspace() {
         let a = Matrix::from_fn(4, 30, |i, j| ((i * j) as f64 * 0.7 + 0.2 * j as f64).sin());
         let r = 3;
@@ -415,23 +333,9 @@ mod tests {
     }
 
     #[test]
-    fn truncated_dispatch_agrees() {
-        let wide = Matrix::from_fn(4, 20, |i, j| ((i * 3 + j) as f64).sin());
-        let via_dispatch = truncated_left_singular_vectors(&wide, 2).unwrap();
-        let via_gram = gram_left_singular_vectors(&wide, 2).unwrap();
-        assert!(same_subspace(&via_dispatch, &via_gram, 1e-9));
-
-        let tall = wide.transpose();
-        let u = truncated_left_singular_vectors(&tall, 2).unwrap();
-        assert_eq!(u.shape(), (20, 2));
-        assert!(u.orthonormality_defect() < 1e-9);
-    }
-
-    #[test]
     fn rank_checks() {
         let a = Matrix::identity(3);
         assert!(gram_left_singular_vectors(&a, 4).is_err());
-        assert!(truncated_left_singular_vectors(&a, 4).is_err());
         assert!(svd(&Matrix::zeros(0, 2)).is_err());
     }
 
@@ -443,18 +347,16 @@ mod tests {
         // routes must reject r > min(m, n) with a structured error naming
         // the true ceiling.
         let tall = Matrix::from_fn(6, 2, |i, j| ((i * 2 + j) as f64 * 0.4).sin());
-        for f in [gram_left_singular_vectors, truncated_left_singular_vectors] {
-            match f(&tall, 3) {
-                Err(LinalgError::RankTooLarge {
-                    requested,
-                    available,
-                }) => assert_eq!((requested, available), (3, 2)),
-                other => panic!("expected RankTooLarge, got {other:?}"),
-            }
-            // r = min(m, n) stays accepted.
-            let u = f(&tall, 2).unwrap();
-            assert_eq!(u.shape(), (6, 2));
+        match gram_left_singular_vectors(&tall, 3) {
+            Err(LinalgError::RankTooLarge {
+                requested,
+                available,
+            }) => assert_eq!((requested, available), (3, 2)),
+            other => panic!("expected RankTooLarge, got {other:?}"),
         }
+        // r = min(m, n) stays accepted.
+        let u = gram_left_singular_vectors(&tall, 2).unwrap();
+        assert_eq!(u.shape(), (6, 2));
     }
 
     #[test]

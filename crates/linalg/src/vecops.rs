@@ -49,34 +49,6 @@ pub fn norm2_iter(values: impl Iterator<Item = f64> + Clone) -> f64 {
     max * acc.sqrt()
 }
 
-/// `y += alpha * x` for equal-length slices.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Scales a slice in place by `alpha`.
-#[inline]
-pub fn scale_in_place(alpha: f64, x: &mut [f64]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
-    }
-}
-
-/// Normalizes `x` to unit Euclidean norm in place and returns the original
-/// norm. A zero vector is left unchanged and `0.0` is returned.
-#[inline]
-pub fn normalize(x: &mut [f64]) -> f64 {
-    let n = norm2(x);
-    if n > 0.0 {
-        scale_in_place(1.0 / n, x);
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,28 +84,5 @@ mod tests {
     #[test]
     fn norm2_propagates_nan() {
         assert!(norm2(&[1.0, f64::NAN]).is_nan());
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let x = [1.0, 2.0];
-        let mut y = [10.0, 20.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0]);
-    }
-
-    #[test]
-    fn normalize_unit_norm() {
-        let mut v = vec![3.0, 0.0, 4.0];
-        let n = normalize(&mut v);
-        assert!((n - 5.0).abs() < 1e-15);
-        assert!((norm2(&v) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn normalize_zero_vector_is_noop() {
-        let mut v = vec![0.0; 4];
-        assert_eq!(normalize(&mut v), 0.0);
-        assert!(v.iter().all(|&x| x == 0.0));
     }
 }

@@ -4,9 +4,7 @@
 //! fixed set of seeds and draws its inputs from the in-tree seeded RNG —
 //! deterministic, shrink-free, but the same invariants.
 
-use m2td_linalg::{
-    cholesky, householder_qr, khatri_rao, kronecker, lu_decompose, svd, symmetric_eig, Matrix,
-};
+use m2td_linalg::{cholesky, householder_qr, svd, symmetric_eig, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,12 +15,6 @@ fn rand_matrix(rng: &mut StdRng, max_dim: usize) -> Matrix {
     let r = rng.gen_range(1..max_dim + 1);
     let c = rng.gen_range(1..max_dim + 1);
     Matrix::from_fn(r, c, |_, _| rng.gen_range(-3.0..3.0))
-}
-
-/// A random square matrix with entries in ±3.
-fn rand_square(rng: &mut StdRng, max_dim: usize) -> Matrix {
-    let n = rng.gen_range(1..max_dim + 1);
-    Matrix::from_fn(n, n, |_, _| rng.gen_range(-3.0..3.0))
 }
 
 #[test]
@@ -72,28 +64,7 @@ fn symmetric_eig_reconstructs_gram() {
 }
 
 #[test]
-fn lu_solve_inverts_well_conditioned_systems() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = rand_square(&mut rng, 6);
-        let shift = rng.gen_range(2.0..6.0);
-        // Diagonal shift keeps the system comfortably non-singular.
-        let n = a.rows();
-        let mut m = a.clone();
-        for i in 0..n {
-            m.set(i, i, m.get(i, i) + shift * 3.0);
-        }
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-        let b = m.matvec(&x_true).unwrap();
-        let x = lu_decompose(&m).unwrap().solve(&b).unwrap();
-        for i in 0..n {
-            assert!((x[i] - x_true[i]).abs() < 1e-8, "component {i}");
-        }
-    }
-}
-
-#[test]
-fn cholesky_matches_lu_on_spd() {
+fn cholesky_solve_leaves_small_residual_on_spd() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = rand_matrix(&mut rng, 5);
@@ -103,50 +74,14 @@ fn cholesky_matches_lu_on_spd() {
             spd.set(i, i, spd.get(i, i) + 1.0);
         }
         let b: Vec<f64> = (0..spd.rows()).map(|i| 1.0 + i as f64).collect();
-        let x_ch = cholesky(&spd).unwrap().solve(&b).unwrap();
-        let x_lu = lu_decompose(&spd).unwrap().solve(&b).unwrap();
-        for (u, v) in x_ch.iter().zip(x_lu.iter()) {
-            assert!((u - v).abs() < 1e-8);
-        }
-    }
-}
-
-#[test]
-fn kronecker_norm_is_product_of_norms() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = rand_matrix(&mut rng, 4);
-        let b = rand_matrix(&mut rng, 4);
-        let k = kronecker(&a, &b);
-        let expected = a.frobenius_norm() * b.frobenius_norm();
-        assert!((k.frobenius_norm() - expected).abs() < 1e-9 * (1.0 + expected));
-    }
-}
-
-#[test]
-fn khatri_rao_is_column_subset_of_kronecker() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = rand_matrix(&mut rng, 4);
-        let b = rand_matrix(&mut rng, 4);
-        // Force equal column counts by truncating.
-        let c = a.cols().min(b.cols());
-        let a = a.leading_columns(c).unwrap();
-        let b = b.leading_columns(c).unwrap();
-        let kr = khatri_rao(&a, &b).unwrap();
-        assert_eq!(kr.shape(), (a.rows() * b.rows(), c));
-        // Column j of A ⊙ B equals a_j ⊗ b_j.
-        for j in 0..c {
-            let col = kr.col(j);
-            let mut expected = Vec::with_capacity(col.len());
-            for i in 0..a.rows() {
-                for p in 0..b.rows() {
-                    expected.push(a.get(i, j) * b.get(p, j));
-                }
-            }
-            for (x, y) in col.iter().zip(expected.iter()) {
-                assert!((x - y).abs() < 1e-12);
-            }
+        let x = cholesky(&spd).unwrap().solve(&b).unwrap();
+        let ax = spd.matvec(&x).unwrap();
+        for (i, (l, r)) in ax.iter().zip(b.iter()).enumerate() {
+            assert!(
+                (l - r).abs() < 1e-8,
+                "seed {seed}: residual {} at {i}",
+                l - r
+            );
         }
     }
 }

@@ -84,11 +84,6 @@ impl MultiPartition {
         Self::new(vec![pivot_mode], groups, n_modes)
     }
 
-    /// Number of sub-systems `S`.
-    pub fn num_subsystems(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Pivot modes.
     pub fn pivot_modes(&self) -> &[usize] {
         &self.pivot
@@ -256,7 +251,7 @@ mod tests {
     #[test]
     fn finest_partition_of_five_modes() {
         let p = MultiPartition::finest(5, 4).unwrap();
-        assert_eq!(p.num_subsystems(), 4);
+        assert_eq!(p.groups.len(), 4);
         assert_eq!(p.pivot_modes(), &[4]);
         assert_eq!(p.free_modes(0), &[0]);
         assert_eq!(p.free_modes(3), &[3]);
@@ -354,7 +349,7 @@ mod tests {
     fn coarse_partition_matches_pf_layout() {
         // Two groups of two = the paper's layout.
         let p = MultiPartition::new(vec![4], vec![vec![0, 1], vec![2, 3]], 5).unwrap();
-        assert_eq!(p.num_subsystems(), 2);
+        assert_eq!(p.groups.len(), 2);
         assert_eq!(p.sub_modes(0), vec![4, 0, 1]);
         assert_eq!(p.sub_modes(1), vec![4, 2, 3]);
     }

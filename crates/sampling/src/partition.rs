@@ -165,12 +165,6 @@ impl PfPartition {
     }
 
     /// The permutation to pass to `DenseTensor::permute_modes` on a tensor
-    /// in **natural** mode order to obtain **join** order.
-    pub fn perm_natural_to_join(&self) -> Vec<usize> {
-        self.join_modes()
-    }
-
-    /// The permutation to pass to `DenseTensor::permute_modes` on a tensor
     /// in **join** mode order to obtain **natural** order.
     pub fn perm_join_to_natural(&self) -> Vec<usize> {
         let join = self.join_modes();
@@ -396,7 +390,8 @@ mod tests {
     #[test]
     fn permutations_are_inverse() {
         let p = paper_partition();
-        let to_join = p.perm_natural_to_join();
+        // join_modes() is the natural → join permutation.
+        let to_join = p.join_modes();
         let to_nat = p.perm_join_to_natural();
         // Applying to_join then to_nat must be the identity.
         let mut composed = vec![0usize; 5];

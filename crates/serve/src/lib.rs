@@ -22,7 +22,8 @@
 //!   (reusing one [`m2td_tensor::Workspace`] across refreshes). The result
 //!   is published as an immutable [`Model`] snapshot; a rejected refresh
 //!   leaves the previous healthy model serving.
-//! * **Queries** — [`ServeEngine::query_cell`] / [`query_cells`] /
+//! * **Queries** — [`ServeEngine::query_cell`] /
+//!   [`query_cells`](ServeEngine::query_cells) /
 //!   [`query_slice`](ServeEngine::query_slice) evaluate against the
 //!   published snapshot through a pre-decoded
 //!   [`m2td_tensor::CellEvaluator`] (no per-call allocation) plus a

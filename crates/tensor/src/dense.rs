@@ -117,12 +117,6 @@ impl DenseTensor {
         self.data[lin] = v;
     }
 
-    /// Value at a linear (row-major) index.
-    #[inline]
-    pub fn get_linear(&self, lin: usize) -> f64 {
-        self.data[lin]
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         m2td_linalg::norm2(&self.data)

@@ -16,7 +16,7 @@ use crate::sparse::SparseTensor;
 use crate::tucker::TuckerDecomp;
 use crate::workspace::Workspace;
 use crate::Result;
-use m2td_linalg::{symmetric_eig, Matrix};
+use m2td_linalg::Matrix;
 
 /// Ordering strategy for the TTM chain that recovers the core tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,45 +105,6 @@ pub fn dense_core_with(
     let ranks: Vec<usize> = factors.iter().map(|f| f.cols()).collect();
     let plan = TtmPlan::with_ordering(x.dims(), &ranks, ordering)?;
     plan.execute_dense(x, factors, ws)
-}
-
-/// Suggests per-mode target ranks: for every mode, the smallest rank whose
-/// leading Gram eigenvalues capture at least `energy_fraction` of that
-/// mode's total energy. A principled alternative to hand-picking a uniform
-/// rank — exposed to users via `m2td-cli --rank auto`-style workflows.
-///
-/// # Errors
-///
-/// [`TensorError::EmptyTensor`] for an all-null tensor; an invalid
-/// fraction (outside `(0, 1]`) is clamped into range.
-pub fn suggest_ranks(x: &SparseTensor, energy_fraction: f64) -> Result<Vec<usize>> {
-    if x.nnz() == 0 {
-        return Err(TensorError::EmptyTensor);
-    }
-    let target = energy_fraction.clamp(f64::MIN_POSITIVE, 1.0);
-    let mut ranks = Vec::with_capacity(x.order());
-    for mode in 0..x.order() {
-        let gram = x.unfold_gram(mode)?;
-        let eig = symmetric_eig(&gram)?;
-        // Gram eigenvalues are the squared singular values of the
-        // matricization; clamp tiny negatives from round-off.
-        let total: f64 = eig.eigenvalues.iter().map(|&l| l.max(0.0)).sum();
-        if total <= 0.0 {
-            ranks.push(1);
-            continue;
-        }
-        let mut acc = 0.0;
-        let mut r = 0;
-        for &l in &eig.eigenvalues {
-            acc += l.max(0.0);
-            r += 1;
-            if acc >= target * total {
-                break;
-            }
-        }
-        ranks.push(r.max(1));
-    }
-    Ok(ranks)
 }
 
 /// HOSVD of a dense tensor at the given per-mode target ranks.
@@ -358,50 +319,6 @@ mod tests {
         // Two isolated entries are exactly representable at rank 2.
         let dense = s.to_dense().unwrap();
         assert!(t.relative_error(&dense).unwrap() < 1e-9);
-    }
-
-    #[test]
-    fn suggest_ranks_at_full_energy_reconstruct_exactly() {
-        // Whatever ranks 100% energy suggests, HOSVD at those ranks must
-        // be an (FP-)exact decomposition.
-        let x = test_tensor();
-        let s = SparseTensor::from_dense(&x);
-        let ranks = suggest_ranks(&s, 1.0).unwrap();
-        let tucker = hosvd_sparse(&s, &ranks).unwrap();
-        let err = tucker.relative_error(&x).unwrap();
-        assert!(err < 1e-6, "full-energy ranks {ranks:?} gave error {err}");
-    }
-
-    #[test]
-    fn suggest_ranks_low_for_rank_one_data() {
-        let x = DenseTensor::from_fn(&[5, 6, 4], |i| {
-            (i[0] + 1) as f64 * (i[1] + 1) as f64 * (i[2] + 1) as f64
-        });
-        let s = SparseTensor::from_dense(&x);
-        let ranks = suggest_ranks(&s, 0.999).unwrap();
-        assert_eq!(ranks, vec![1, 1, 1], "rank-1 tensor should need rank 1");
-    }
-
-    #[test]
-    fn suggest_ranks_monotone_in_energy() {
-        let x = test_tensor();
-        let s = SparseTensor::from_dense(&x);
-        let lo = suggest_ranks(&s, 0.5).unwrap();
-        let hi = suggest_ranks(&s, 0.99).unwrap();
-        for (a, b) in lo.iter().zip(hi.iter()) {
-            assert!(a <= b);
-        }
-        // Suggested ranks actually achieve the target accuracy-ish: the
-        // HOSVD error at the 0.99-energy ranks is small.
-        let tucker = hosvd_sparse(&s, &hi).unwrap();
-        let err = tucker.relative_error(&x).unwrap();
-        assert!(err < 0.2, "suggested ranks gave error {err}");
-    }
-
-    #[test]
-    fn suggest_ranks_rejects_empty() {
-        let s = SparseTensor::empty(&[3, 3]);
-        assert!(suggest_ranks(&s, 0.9).is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Provides the data structures and decomposition kernels the paper builds
 //! on: dense and sparse (COO) tensors, mode-`n` matricization (unfolding),
 //! tensor-times-matrix (TTM) products, Tucker decompositions via HOSVD
-//! (Algorithm 1 of the paper) with an optional HOOI refinement, and a CP-ALS
-//! baseline.
+//! (Algorithm 1 of the paper) with an optional HOOI refinement, and the
+//! sketched sparse routes of [`sketch`].
 //!
 //! # Conventions
 //!
@@ -25,7 +25,6 @@
 //! assert!(tucker.relative_error(&t).unwrap() < 1e-12);
 //! ```
 
-mod cp;
 mod dense;
 mod error;
 mod hooi;
@@ -37,17 +36,15 @@ mod shape;
 pub mod sketch;
 mod sparse;
 mod ttm;
-mod ttv;
 mod tucker;
 mod workspace;
 
-pub use cp::{cp_als, CpDecomp, CpOptions};
 pub use dense::DenseTensor;
 pub use error::TensorError;
 pub use hooi::{hooi_dense, hooi_sparse, hooi_sparse_exact, HooiOptions};
 pub use hosvd::{
     dense_core, dense_core_with, hosvd_dense, hosvd_sparse, hosvd_sparse_exact, sparse_core,
-    sparse_core_with, suggest_ranks, CoreOrdering,
+    sparse_core_with, CoreOrdering,
 };
 pub use incremental::IncrementalEnsemble;
 pub use io::{load_json, save_json};
@@ -59,7 +56,6 @@ pub use ttm::{
     ttm_dense, ttm_dense_transposed, ttm_dense_transposed_ws, ttm_dense_ws, ttm_sparse,
     ttm_sparse_transposed,
 };
-pub use ttv::{ttv_dense, ttv_sparse};
 pub use tucker::{CellEvaluator, TuckerDecomp};
 pub use workspace::Workspace;
 

@@ -156,13 +156,6 @@ impl Shape {
         j
     }
 
-    /// Returns a new shape with mode `mode` replaced by `new_dim`.
-    pub fn with_mode_dim(&self, mode: usize, new_dim: usize) -> Shape {
-        let mut dims = self.dims.clone();
-        dims[mode] = new_dim;
-        Shape::new(&dims)
-    }
-
     /// Iterates over all multi-indices in row-major order.
     pub fn iter_indices(&self) -> IndexIter<'_> {
         IndexIter {
@@ -264,12 +257,6 @@ mod tests {
         let s = Shape::new(&[2, 2]);
         assert!(s.check_mode(1).is_ok());
         assert!(s.check_mode(2).is_err());
-    }
-
-    #[test]
-    fn with_mode_dim_replaces() {
-        let s = Shape::new(&[2, 3, 4]).with_mode_dim(1, 7);
-        assert_eq!(s.dims(), &[2, 7, 4]);
     }
 
     #[test]

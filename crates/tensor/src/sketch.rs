@@ -1,9 +1,9 @@
 //! Randomized sparse routes: sketched Grams, MACH entry sampling, and
 //! sketched HOSVD/HOOI.
 //!
-//! The matrix-level kernels (Gaussian range-finders, counter-based
-//! Gaussian sources, the install idiom) live in `m2td-sketch`; this
-//! module lifts them to [`SparseTensor`]s:
+//! The sketch configuration, the install switch and the counter-based
+//! random sources live in `m2td-sketch`; this module builds the
+//! randomized routes on [`SparseTensor`]s:
 //!
 //! * [`sketched_unfold_gram`] — `G̃ = (X₍ₙ₎Ω)(X₍ₙ₎Ω)ᵀ / s`: the Gram is
 //!   estimated from a thin `I_n × s` sketch instead of the full
@@ -48,8 +48,8 @@ use m2td_linalg::Matrix;
 use m2td_sketch::{counter_gaussian, counter_uniform, SketchConfig, SketchPolicy};
 use std::collections::BTreeMap;
 
-/// Site tags mixed into [`SketchConfig::seed_for`] so Grams, samples and
-/// range-finders draw independent streams from one configured seed.
+/// Site tags mixed into [`SketchConfig::seed_for`] so Grams and samples
+/// draw independent streams from one configured seed.
 const GRAM_SITE: u64 = 0x4752_414D; // "GRAM"
 const MACH_SITE: u64 = 0x4D41_4348; // "MACH"
 

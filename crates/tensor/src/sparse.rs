@@ -17,14 +17,14 @@ use crate::error::TensorError;
 use crate::shape::Shape;
 use crate::Result;
 use m2td_linalg::Matrix;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// A sparse `N`-mode tensor in coordinate format, sorted by row-major
 /// linear index, with at most one entry per coordinate.
 ///
 /// Entries are immutable after construction; the only mutable state is a
-/// shared, lazily-built [`ModeScatterIndex`] cache that the TTM scatter
+/// shared, lazily-built per-mode scatter-index cache that the TTM scatter
 /// kernels use to turn the entry stream into contiguous per-output-cell
 /// groups. Clones share the cache (the entries it indexes are the same),
 /// and equality ignores it.
@@ -81,27 +81,6 @@ impl SparseTensor {
                 });
             }
         }
-        let (indices, values) = pairs.into_iter().unzip();
-        Ok(Self::assemble(shape, indices, values))
-    }
-
-    /// Builds a sparse tensor by running `f` on a caller-supplied list of
-    /// multi-indices (the "ensemble plan"). Duplicates in the plan are
-    /// collapsed to the *first* occurrence.
-    pub fn from_plan(
-        dims: &[usize],
-        plan: &[Vec<usize>],
-        mut f: impl FnMut(&[usize]) -> f64,
-    ) -> Result<Self> {
-        let shape = Shape::new(dims);
-        let mut map: HashMap<u64, f64> = HashMap::with_capacity(plan.len());
-        for idx in plan {
-            shape.check_index(idx)?;
-            let lin = shape.linear_index(idx) as u64;
-            map.entry(lin).or_insert_with(|| f(idx));
-        }
-        let mut pairs: Vec<(u64, f64)> = map.into_iter().collect();
-        pairs.sort_unstable_by_key(|&(i, _)| i);
         let (indices, values) = pairs.into_iter().unzip();
         Ok(Self::assemble(shape, indices, values))
     }
@@ -482,20 +461,6 @@ mod tests {
         assert_eq!(d.get(&[0, 1, 0]), 0.0);
         let back = SparseTensor::from_dense(&d);
         assert_eq!(back, t);
-    }
-
-    #[test]
-    fn from_plan_runs_oracle_once_per_cell() {
-        let mut calls = 0;
-        let plan = vec![vec![0, 0], vec![1, 1], vec![0, 0]];
-        let t = SparseTensor::from_plan(&[2, 2], &plan, |idx| {
-            calls += 1;
-            (idx[0] + idx[1]) as f64
-        })
-        .unwrap();
-        assert_eq!(calls, 2, "duplicate plan entries must not re-run");
-        assert_eq!(t.nnz(), 2);
-        assert_eq!(t.get(&[1, 1]), Some(2.0));
     }
 
     #[test]

@@ -135,17 +135,6 @@ impl TuckerDecomp {
     pub fn accuracy(&self, reference: &DenseTensor) -> Result<f64> {
         Ok(1.0 - self.relative_error(reference)?)
     }
-
-    /// Number of parameters stored by the decomposition (core + factors);
-    /// the compression ratio against the dense tensor follows directly.
-    pub fn num_parameters(&self) -> usize {
-        self.core.num_elements()
-            + self
-                .factors
-                .iter()
-                .map(|f| f.rows() * f.cols())
-                .sum::<usize>()
-    }
 }
 
 /// Amortized single-cell evaluation over a [`TuckerDecomp`].
@@ -344,10 +333,9 @@ mod tests {
     }
 
     #[test]
-    fn num_parameters_counts_core_and_factors() {
+    fn output_dims_and_ranks_follow_factors() {
         let core = DenseTensor::zeros(&[2, 2]);
         let t = TuckerDecomp::new(core, vec![Matrix::zeros(5, 2), Matrix::zeros(6, 2)]).unwrap();
-        assert_eq!(t.num_parameters(), 4 + 10 + 12);
         assert_eq!(t.output_dims(), vec![5, 6]);
         assert_eq!(t.ranks(), &[2, 2]);
     }

@@ -7,8 +7,7 @@
 use m2td_linalg::Matrix;
 use m2td_tensor::{
     hosvd_dense, hosvd_sparse, ttm_dense, ttm_dense_transposed, ttm_sparse, ttm_sparse_transposed,
-    ttv_dense, CoreOrdering, DenseTensor, IncrementalEnsemble, Shape, SparseTensor, TtmPlan,
-    Workspace,
+    CoreOrdering, DenseTensor, IncrementalEnsemble, Shape, SparseTensor, TtmPlan, Workspace,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -97,25 +96,6 @@ fn ttm_transpose_consistency() {
             let a = ttm_dense_transposed(&t, mode, &u).unwrap();
             let b = ttm_dense(&t, mode, &u.transpose()).unwrap();
             assert!(a.sub(&b).unwrap().frobenius_norm() < 1e-10);
-        }
-    }
-}
-
-#[test]
-fn ttv_equals_ttm_with_row_vector() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let t = rand_dense(&mut rng);
-        let mode = t.order() - 1;
-        let d = t.dims()[mode];
-        let v: Vec<f64> = (0..d).map(|i| (i as f64 * 0.61).sin() + 0.5).collect();
-        let via_ttv = ttv_dense(&t, mode, &v).unwrap();
-        let row = Matrix::from_vec(1, d, v.clone()).unwrap();
-        let via_ttm = ttm_dense(&t, mode, &row).unwrap();
-        // via_ttm keeps the contracted mode with extent 1.
-        assert_eq!(via_ttv.num_elements(), via_ttm.num_elements());
-        for (a, b) in via_ttv.as_slice().iter().zip(via_ttm.as_slice().iter()) {
-            assert!((a - b).abs() < 1e-10);
         }
     }
 }

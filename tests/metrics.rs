@@ -287,23 +287,18 @@ fn without_subscriber_nothing_is_recorded_and_reports_carry_no_metrics() {
     assert!(m2td::obs::snapshot_if_installed().is_none());
 }
 
-/// The randomized routes are instrumented: the Gaussian range-finder and
-/// the per-mode sketched Gram each carry a `sketch.*` span, and the
-/// sketch width plus the measured relative error land as gauges.
+/// The randomized routes are instrumented: the per-mode sketched Gram
+/// carries a `sketch.*` span, and the sketch width plus the measured
+/// relative error land as gauges.
 #[test]
 fn sketch_routes_are_instrumented() {
-    use m2td::linalg::Matrix;
-    use m2td::sketch::{range_finder, SketchConfig};
+    use m2td::sketch::SketchConfig;
 
     let _guard = OBS_LOCK.lock().unwrap();
     m2td::obs::install();
     m2td::obs::reset();
 
-    let a = Matrix::from_fn(48, 12, |i, j| {
-        ((i * 5 + j) as f64 * 0.21).sin() + 0.01 * ((i * j) as f64 * 0.7).cos()
-    });
     let cfg = SketchConfig::with_size(6).with_seed(9);
-    range_finder(&a, 3, &cfg).unwrap();
 
     // A tall mode-0 with full fibers: the shape where the sketched Gram's
     // op-count plan says "sketch", so `phase_gram` actually takes the
@@ -321,10 +316,6 @@ fn sketch_routes_are_instrumented() {
     let snap = m2td::obs::snapshot();
     m2td::obs::uninstall();
 
-    assert!(
-        snap.span("sketch.range_finder").is_some(),
-        "range-finder span missing"
-    );
     assert!(
         snap.span("sketch.gram{mode=0}").is_some(),
         "sketched Gram span missing: {:?}",
