@@ -1,6 +1,7 @@
 //! End-to-end coverage of the `m2td-cli` binary: the core fingerprints of
-//! the deterministic `dist` and `serve` commands, and rejection of flags a
-//! subcommand does not read.
+//! the deterministic `dist` and `serve` commands, the dead-letter-queue
+//! operator flow, crash recovery of `serve` at every kill-point stream,
+//! and rejection of flags a subcommand does not read.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -44,21 +45,31 @@ fn fingerprint(stdout: &str) -> &str {
     rest.split_whitespace().next().unwrap_or("")
 }
 
+/// Runs `dist` over the job directory `job` (relative to `cwd`) with
+/// `extra` flags appended.
+fn dist(
+    cwd: &PathBuf,
+    job: &str,
+    transport: &str,
+    workers: &str,
+    extra: &[&str],
+) -> (i32, String, String) {
+    let mut args = vec![
+        "dist",
+        "--dir",
+        job,
+        "--transport",
+        transport,
+        "--workers",
+        workers,
+    ];
+    args.extend_from_slice(extra);
+    cli(cwd, &args)
+}
+
 fn dist_fingerprint(name: &str, transport: &str, workers: &str) -> String {
     let dir = fresh_dir(name);
-    let job = dir.join("job");
-    let (code, out, err) = cli(
-        &dir,
-        &[
-            "dist",
-            "--dir",
-            job.to_str().unwrap(),
-            "--transport",
-            transport,
-            "--workers",
-            workers,
-        ],
-    );
+    let (code, out, err) = dist(&dir, "job", transport, workers, &[]);
     assert_eq!(code, 0, "dist failed:\n{out}{err}");
     fingerprint(&out).to_string()
 }
@@ -77,6 +88,98 @@ fn dist_direct_with_one_worker_prints_its_pinned_core() {
         dist_fingerprint("dist_direct", "direct", "1"),
         DIST_DIRECT_1_WORKER
     );
+}
+
+/// The transport never shows in the bits: at the same worker count a
+/// direct run prints the channel run's core.
+#[test]
+fn dist_direct_with_two_workers_matches_the_channel_core() {
+    assert_eq!(
+        dist_fingerprint("dist_direct_2", "direct", "2"),
+        DIST_CHANNEL_2_WORKERS
+    );
+}
+
+/// The operator workflow of DESIGN.md §14: a doomed task parks in the
+/// dead-letter queue and the run completes degraded (exit 4); after
+/// `dlq requeue` a rerun resumes from the manifest, drains the entry and
+/// converges to the core of a never-faulted run.
+#[test]
+fn doomed_task_parks_and_requeue_converges_to_the_clean_core() {
+    let dir = fresh_dir("dlq_flow");
+    let (code, doomed, err) = dist(&dir, "job", "channel", "2", &["--doom-tasks", "1"]);
+    assert_eq!(code, 4, "a doomed run completes degraded:\n{doomed}{err}");
+    assert_ne!(
+        fingerprint(&doomed),
+        DIST_CHANNEL_2_WORKERS,
+        "a degraded core cannot equal the clean core"
+    );
+
+    let (code, list, err) = cli(&dir, &["dlq", "list", "--dir", "job"]);
+    assert_eq!(code, 0, "dlq list failed:\n{list}{err}");
+    assert!(list.contains("parked"), "no parked dlq entry:\n{list}");
+    let (code, out, err) = cli(&dir, &["dlq", "requeue", "--dir", "job"]);
+    assert_eq!(code, 0, "dlq requeue failed:\n{out}{err}");
+
+    let (code, resumed, err) = dist(&dir, "job", "channel", "2", &[]);
+    assert_eq!(code, 0, "the requeued run must converge:\n{resumed}{err}");
+    assert_eq!(fingerprint(&resumed), DIST_CHANNEL_2_WORKERS);
+    let drained = resumed
+        .split_once(" dead-letter entries drained")
+        .and_then(|(before, _)| before.rsplit(' ').next())
+        .unwrap_or_else(|| panic!("no resume line in:\n{resumed}"));
+    assert_eq!(drained, "1", "expected one drained entry:\n{resumed}");
+}
+
+/// DESIGN.md §17's crash matrix: one kill point in each durable stream
+/// (an absorb before its WAL record exists, a refresh, a WAL append
+/// before its record is applied, a snapshot write between temp file and
+/// rename). The crashed process exits 6; a restart over the same state
+/// directory recovers and prints the uninterrupted run's core.
+#[test]
+fn serve_restarts_after_every_kill_point_print_the_clean_core() {
+    let serve = [
+        "serve",
+        "--dims",
+        "10,10,8",
+        "--ranks",
+        "3,3,2",
+        "--snapshot-every",
+        "40",
+        "--state-dir",
+    ];
+    let run = |dir: &PathBuf, state: &str, extra: &[&str]| {
+        let args: Vec<&str> = serve.iter().chain([&state]).chain(extra).copied().collect();
+        cli(dir, &args)
+    };
+    let dir = fresh_dir("serve_crash");
+    let (code, clean, err) = run(&dir, "clean", &[]);
+    assert_eq!(code, 0, "uninterrupted run failed:\n{clean}{err}");
+    for crash_at in [
+        "absorb:150",
+        "refresh:3",
+        "wal-append:300",
+        "snapshot-write:80",
+    ] {
+        let state = format!("crash_{}", crash_at.replace(':', "_"));
+        let (code, crashed, err) = run(&dir, &state, &["--crash-at", crash_at]);
+        assert_eq!(code, 6, "{crash_at} must fire:\n{crashed}{err}");
+        assert!(
+            crashed.contains("injected kill point"),
+            "{crash_at}:\n{crashed}"
+        );
+        let (code, recovered, err) = run(&dir, &state, &[]);
+        assert_eq!(code, 0, "{crash_at}: restart failed:\n{recovered}{err}");
+        assert!(
+            recovered.contains("recovered from snapshot"),
+            "{crash_at}:\n{recovered}"
+        );
+        assert_eq!(
+            fingerprint(&recovered),
+            fingerprint(&clean),
+            "{crash_at}: recovered core differs from the uninterrupted run"
+        );
+    }
 }
 
 #[test]
