@@ -14,47 +14,31 @@
 //! cells instead of recomputing them. Stale or corrupt checkpoint files
 //! are treated as absent, never trusted.
 //!
-//! ## Record integrity (format v2)
+//! ## Record integrity (format v3)
 //!
-//! Every record is a JSON object `{version, fingerprint, checksum,
-//! payload}` where `checksum` is FNV-1a-64 over the compact serialization
-//! of `fingerprint` followed by that of `payload` — covering the
-//! fingerprint too, so a bit-flip *anywhere* meaningful is detected.
-//! Records are written atomically (uniquely named `*.tmp.<pid>.<n>` +
-//! rename, so two stores publishing into the same directory never tear
-//! each other's writes) and orphaned temp files from a crash mid-write are
-//! deleted when the store opens. A record that fails to parse, carries the
-//! wrong format version, or fails its checksum is **quarantined** (renamed
-//! to `phase<N>.quarantined.<seq>.json`, bumping the
-//! `guard.ckpt_quarantined` counter) and reported absent, forcing the
-//! phase to recompute — garbage is never deserialized into the pipeline.
-//! Quarantined records are kept for post-mortem but not forever: a
-//! retention sweep on open (and after each new quarantine) keeps the
-//! newest [`QUARANTINE_KEEP`] per phase and counts removals in
-//! `guard.ckpt_quarantine_swept`.
-//!
-//! The record helpers ([`seal_record`]/[`open_record`]/[`write_atomic`])
-//! live in `m2td_guard::integrity` and are shared workspace-wide: the job
-//! manifest, the dead-letter queue, and the serve layer's snapshot store
-//! and write-ahead log all persist in the same format-v2 envelope, and
-//! the keep-newest-N quarantine retention sweep is the same
-//! [`m2td_guard::integrity::sweep_retention`] helper everywhere.
+//! Each phase file (`phase<N>.json`) is one sealed record of the shared
+//! codec in [`m2td_guard::integrity`]: a short `{version, checksum}`
+//! header, a tab, then the raw body `{fingerprint, payload}`, with the
+//! checksum over the raw body bytes. Loading verifies before it parses:
+//! the header is parsed first, the version and checksum checked, and
+//! only then is the body parsed, once. Records are published atomically
+//! (unique temp file + rename; orphans are deleted when the store opens).
+//! A record that cannot be read, fails verification, or whose
+//! fingerprint or payload does not decode is **quarantined** — moved
+//! aside byte for byte to `phase<N>.quarantined.<n>.json`, counted in
+//! `guard.ckpt_quarantined` and `guard.ckpt_quarantined.<reason>` — and
+//! reported absent, forcing the phase to recompute. Retention keeps the
+//! newest four quarantined records per phase (`guard.ckpt_quarantine_swept`
+//! counts removals). A clean record from a run with a different
+//! fingerprint is merely absent and left in place.
 
 use m2td_core::M2tdOptions;
 use m2td_fault::CorruptionKind;
+use m2td_guard::integrity::SealedFiles;
 use m2td_json::{FromJson, Json, ToJson};
 use m2td_linalg::Matrix;
 use m2td_tensor::SparseTensor;
 use std::path::{Path, PathBuf};
-
-// Crate-wide aliases: manifest.rs, dlq.rs and transport.rs seal their
-// records through the same shared helpers.
-pub(crate) use m2td_guard::integrity::{
-    fnv1a64, open_record, record_checksum, seal_record, write_atomic, FORMAT_VERSION,
-};
-
-/// Quarantined records kept per phase by the retention sweep.
-const QUARANTINE_KEEP: usize = 4;
 
 /// Identity of one D-M2TD invocation: checkpoints are only resumable when
 /// every field matches, including a content hash of both entry streams.
@@ -124,204 +108,66 @@ impl ToJson for Fingerprint {
     }
 }
 
-impl FromJson for Fingerprint {
-    fn from_json(json: &Json) -> Result<Self, m2td_json::JsonError> {
-        let content_hash = match json.require("content_hash")? {
-            Json::Int(i) => *i as u64,
-            other => {
-                return Err(m2td_json::JsonError::Type {
-                    expected: "integer content hash",
-                    found: other.type_name(),
-                })
-            }
-        };
-        Ok(Self {
-            dims1: FromJson::from_json(json.require("dims1")?)?,
-            dims2: FromJson::from_json(json.require("dims2")?)?,
-            k: json.require("k")?.as_usize()?,
-            ranks: FromJson::from_json(json.require("ranks")?)?,
-            options: json.require("options")?.as_str()?.to_string(),
-            content_hash,
-        })
-    }
-}
-
 /// A directory of phase-boundary checkpoint files for D-M2TD runs.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
-    dir: PathBuf,
+    files: SealedFiles,
 }
 
 /// Errors raised while *writing* checkpoints. (Unreadable checkpoints are
 /// not errors — loads degrade to "absent" and the phase recomputes.)
 pub type CheckpointError = String;
 
+/// File name of a phase's checkpoint.
+fn phase_file(phase: u8) -> String {
+    format!("phase{phase}.json")
+}
+
 impl CheckpointStore {
-    /// Opens (creating if needed) a checkpoint directory. Orphaned `*.tmp`
-    /// files left by a crash mid-write are deleted: they were never
-    /// renamed into place, so they are by definition incomplete.
+    /// Opens (creating if needed) a checkpoint directory, deleting orphaned
+    /// temp files and sweeping quarantine retention.
     pub fn new(dir: impl Into<PathBuf>) -> Result<Self, CheckpointError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
             .map_err(|e| format!("create checkpoint dir {}: {e}", dir.display()))?;
-        if let Ok(entries) = std::fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                // Matches both the legacy `*.json.tmp` form and the unique
-                // `*.json.tmp.<pid>.<n>` form.
-                if name.to_string_lossy().contains(".tmp") {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
-        let store = Self { dir };
-        store.sweep_quarantine();
-        Ok(store)
+        Ok(Self {
+            files: SealedFiles::new(dir, "guard.ckpt", &["phase1", "phase2"]),
+        })
     }
 
     /// The directory checkpoints are stored in.
     pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn phase_path(&self, phase: u8) -> PathBuf {
-        self.dir.join(format!("phase{phase}.json"))
-    }
-
-    /// The quarantined records of `phase`, as `(sequence, path)` pairs in
-    /// arbitrary order. Higher sequence = newer quarantine.
-    fn quarantined_files(&self, phase: u8) -> Vec<(u64, PathBuf)> {
-        m2td_guard::integrity::sequenced_files(&self.dir, &format!("phase{phase}.quarantined."))
-    }
-
-    /// Retention sweep: keeps the newest [`QUARANTINE_KEEP`] quarantined
-    /// records per phase, deleting older ones and counting each removal in
-    /// `guard.ckpt_quarantine_swept`.
-    fn sweep_quarantine(&self) {
-        for phase in [1u8, 2] {
-            m2td_guard::integrity::sweep_retention(
-                &self.dir,
-                &format!("phase{phase}.quarantined."),
-                QUARANTINE_KEEP,
-                "guard.ckpt_quarantine_swept",
-            );
-        }
+        self.files.dir()
     }
 
     fn save(&self, phase: u8, fp: &Fingerprint, payload: Json) -> Result<(), CheckpointError> {
-        let doc = seal_record(&fp.to_json(), payload);
-        write_atomic(&self.phase_path(phase), &doc.to_compact())
+        let body = Json::Obj(vec![
+            ("fingerprint".to_string(), fp.to_json()),
+            ("payload".to_string(), payload),
+        ]);
+        self.files.publish(&phase_file(phase), &body)
     }
 
-    /// Moves a failed-verification record aside and reports it absent. The
-    /// quarantined file is kept for post-mortem, not reloaded. Counters
-    /// bump only when the rename wins: in the restarted-job race two
-    /// stores can detect the same damaged record, but exactly one owns the
-    /// quarantine — the loser sees the source already gone and stays
-    /// silent instead of double-counting.
-    fn quarantine(&self, phase: u8, reason: &str) -> Option<Json> {
-        let next = self
-            .quarantined_files(phase)
-            .iter()
-            .map(|(seq, _)| seq + 1)
-            .max()
-            .unwrap_or(1);
-        let dst = self
-            .dir
-            .join(format!("phase{phase}.quarantined.{next}.json"));
-        if std::fs::rename(self.phase_path(phase), &dst).is_ok() {
-            m2td_obs::counter_add("guard.ckpt_quarantined", 1);
-            m2td_obs::counter_add(format!("guard.ckpt_quarantined.{reason}"), 1);
-            self.sweep_quarantine();
-        }
-        None
-    }
-
-    /// Loads a phase payload iff the file exists, parses, carries the
-    /// current format version, passes its checksum, and its fingerprint
-    /// matches `fp`. Integrity failures quarantine the record (it can
-    /// never load, and keeping it would mask the corruption); a clean
-    /// fingerprint mismatch is merely a checkpoint from a different run
-    /// and is left in place.
-    fn load(&self, phase: u8, fp: &Fingerprint) -> Option<Json> {
-        let text = match std::fs::read_to_string(self.phase_path(phase)) {
-            Ok(t) => t,
-            Err(_) => return None,
-        };
-        let doc = match Json::parse(&text) {
-            Ok(d) => d,
-            Err(_) => return self.quarantine(phase, "unparseable"),
-        };
-        match doc.get("version") {
-            Some(Json::Int(v)) if *v == FORMAT_VERSION => {}
-            _ => return self.quarantine(phase, "version"),
-        }
-        let stored_checksum = match doc.get("checksum") {
-            Some(Json::Int(c)) => *c as u64,
-            _ => return self.quarantine(phase, "checksum"),
-        };
-        let (fingerprint, payload) = match (doc.get("fingerprint"), doc.get("payload")) {
-            (Some(f), Some(p)) => (f, p),
-            _ => return self.quarantine(phase, "structure"),
-        };
-        if record_checksum(fingerprint, payload) != stored_checksum {
-            return self.quarantine(phase, "checksum");
-        }
-        let stored = match Fingerprint::from_json(fingerprint) {
-            Ok(s) => s,
-            Err(_) => return self.quarantine(phase, "fingerprint"),
-        };
-        if &stored != fp {
-            return None;
-        }
-        Some(payload.clone())
+    /// Loads a phase payload iff the record verifies, its fingerprint
+    /// matches `fp`, and its payload decodes. Damage is quarantined (it
+    /// can never load, and keeping it would mask the corruption); a clean
+    /// record of another run is left in place.
+    fn load<T: FromJson>(&self, phase: u8, fp: &Fingerprint) -> Option<T> {
+        let decoded = self.files.load(&phase_file(phase), |body| {
+            if body.get("fingerprint") != Some(&fp.to_json()) {
+                return Ok(None);
+            }
+            let payload = body.get("payload").ok_or("payload")?;
+            T::from_json(payload).map(Some).map_err(|_| "payload")
+        });
+        decoded.ok().flatten()
     }
 
     /// Applies a [`CorruptionKind`] mutation to the stored record of
     /// `phase`, simulating disk/format corruption for the chaos harness.
-    /// Returns whether a record existed to corrupt. The mutation bypasses
-    /// the atomic write path on purpose — it models damage *after* a
-    /// successful publish.
+    /// Returns whether a record existed to corrupt.
     pub fn corrupt(&self, phase: u8, kind: CorruptionKind) -> Result<bool, CheckpointError> {
-        let path = self.phase_path(phase);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => return Ok(false),
-        };
-        let mutated = match kind {
-            CorruptionKind::BitFlip => {
-                let mut b = bytes;
-                let mid = b.len() / 2;
-                b[mid] ^= 0x01;
-                b
-            }
-            CorruptionKind::Truncate => bytes[..bytes.len() / 2].to_vec(),
-            CorruptionKind::StaleVersion => {
-                // Claim an older format version; the checksum (which does
-                // not cover the version field) stays valid, so detection
-                // must come from the version check alone.
-                match Json::parse(&String::from_utf8_lossy(&bytes)) {
-                    Ok(Json::Obj(fields)) => {
-                        let rewritten: Vec<(String, Json)> = fields
-                            .into_iter()
-                            .map(|(k, v)| {
-                                if k == "version" {
-                                    (k, Json::Int(FORMAT_VERSION - 1))
-                                } else {
-                                    (k, v)
-                                }
-                            })
-                            .collect();
-                        Json::Obj(rewritten).to_compact().into_bytes()
-                    }
-                    // Unparseable record: degrade to a torn write.
-                    _ => bytes[..bytes.len() / 2].to_vec(),
-                }
-            }
-        };
-        std::fs::write(&path, mutated)
-            .map_err(|e| format!("corrupt checkpoint {}: {e}", path.display()))?;
-        Ok(true)
+        self.files.corrupt(&phase_file(phase), kind)
     }
 
     /// Persists the phase-1 output: combined factors in join order.
@@ -331,8 +177,7 @@ impl CheckpointStore {
 
     /// Loads phase-1 factors for a matching run, if present and intact.
     pub fn load_phase1(&self, fp: &Fingerprint) -> Option<Vec<Matrix>> {
-        let payload = self.load(1, fp)?;
-        Vec::<Matrix>::from_json(&payload).ok()
+        self.load(1, fp)
     }
 
     /// Persists the phase-2 output: the stitched join tensor.
@@ -347,16 +192,15 @@ impl CheckpointStore {
     /// Loads the phase-2 join tensor for a matching run, if present and
     /// intact.
     pub fn load_phase2(&self, fp: &Fingerprint) -> Option<SparseTensor> {
-        let payload = self.load(2, fp)?;
-        SparseTensor::from_json(&payload).ok()
+        self.load(2, fp)
     }
 
     /// Deletes any checkpoint files in the store, including quarantined
     /// records.
     pub fn clear(&self) -> Result<(), CheckpointError> {
         for phase in [1u8, 2] {
-            let mut paths = vec![self.phase_path(phase)];
-            paths.extend(self.quarantined_files(phase).into_iter().map(|(_, p)| p));
+            let mut paths = vec![self.files.path(&phase_file(phase))];
+            paths.extend(self.quarantined(phase).into_iter().map(|(_, p)| p));
             for path in paths {
                 if path.exists() {
                     std::fs::remove_file(&path)
@@ -365,6 +209,11 @@ impl CheckpointStore {
             }
         }
         Ok(())
+    }
+
+    /// The quarantined records of `phase`, as `(n, path)` pairs.
+    fn quarantined(&self, phase: u8) -> Vec<(u64, PathBuf)> {
+        self.files.quarantined(&format!("phase{phase}"))
     }
 }
 
@@ -515,35 +364,35 @@ mod tests {
         let fp = Fingerprint::new(&x1, &x2, 1, &[2, 2, 2], &M2tdOptions::default());
         store.save_phase2(&fp, &x1).unwrap();
         store.corrupt(2, CorruptionKind::StaleVersion).unwrap();
-        let text = std::fs::read_to_string(store.dir().join("phase2.json")).unwrap();
-        let doc = Json::parse(&text).unwrap();
-        let stored = match doc.get("checksum") {
-            Some(Json::Int(c)) => *c as u64,
-            other => panic!("missing checksum: {other:?}"),
-        };
-        let recomputed =
-            record_checksum(doc.get("fingerprint").unwrap(), doc.get("payload").unwrap());
-        assert_eq!(
-            stored, recomputed,
+        let stale = std::fs::read(store.dir().join("phase2.json")).unwrap();
+        assert_eq!(m2td_guard::integrity::open(&stale), Err("version"));
+        let restamped = String::from_utf8(stale).unwrap().replacen(
+            &format!("\"version\":{}", m2td_guard::integrity::FORMAT_VERSION - 1),
+            &format!("\"version\":{}", m2td_guard::integrity::FORMAT_VERSION),
+            1,
+        );
+        assert!(
+            m2td_guard::integrity::open(restamped.as_bytes()).is_ok(),
             "stale-version must not break the checksum"
         );
         assert!(store.load_phase2(&fp).is_none());
     }
 
     #[test]
-    fn fingerprint_with_high_bit_hash_round_trips() {
+    fn fingerprint_json_keeps_the_high_hash_bit() {
         // Content hashes use all 64 bits; serialization must not lose the
         // high bit through `Json::Int`'s i64.
-        let fp = Fingerprint {
+        let fp = |content_hash| Fingerprint {
             dims1: vec![2],
             dims2: vec![2],
             k: 1,
             ranks: vec![1, 1, 1],
             options: "opts".to_string(),
-            content_hash: u64::MAX - 3,
+            content_hash,
         };
-        let back = Fingerprint::from_json(&fp.to_json()).unwrap();
-        assert_eq!(back, fp);
+        let high = u64::MAX - 3;
+        assert_ne!(fp(high).to_json(), fp(high & !(1 << 63)).to_json());
+        assert_eq!(fp(high).to_json(), fp(high).to_json());
     }
 
     #[test]
@@ -569,7 +418,7 @@ mod tests {
         // 7 quarantines, keep 4: the three oldest are swept and counted.
         assert_eq!(after, before + 3);
         let mut kept: Vec<u64> = reopened
-            .quarantined_files(1)
+            .quarantined(1)
             .into_iter()
             .map(|(seq, _)| seq)
             .collect();
@@ -609,10 +458,10 @@ mod tests {
         });
         assert!(!store_a.dir().join("phase1.json").exists());
         assert_eq!(
-            store_a.quarantined_files(1).len(),
+            store_a.quarantined(1).len(),
             1,
             "double-quarantined: {:?}",
-            store_a.quarantined_files(1)
+            store_a.quarantined(1)
         );
     }
 

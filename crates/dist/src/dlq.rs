@@ -11,17 +11,22 @@
 //! re-execute that task; success **drains** the entry and un-marks the
 //! task in the job manifest.
 //!
-//! The file is a format-v2 record (version, checksum, atomic unique-temp
-//! write) like checkpoints and the manifest, with a null fingerprint —
-//! the queue spans runs, its entries carry their own identity. A corrupt
-//! queue file is treated as empty rather than trusted.
+//! `dlq.json` is one sealed record of the shared codec in
+//! [`m2td_guard::integrity`] (format v3: a `{version, checksum}` header,
+//! a tab, then the raw entry array, verified before it is parsed, and
+//! published atomically). The queue spans runs, so it carries no input
+//! fingerprint: its entries carry their own identity. A file that fails
+//! verification or does not decode is quarantined — moved aside byte for
+//! byte to `dlq.quarantined.<n>.json` and counted in
+//! `dlq.file_quarantined` — and the queue starts empty, so the next
+//! `park` can never overwrite parked history.
 //!
 //! [`RetryPolicy`]: m2td_fault::RetryPolicy
 
-use crate::checkpoint::{open_record, seal_record, write_atomic};
 use crate::transport::TaskEnvelope;
+use m2td_guard::integrity::SealedFiles;
 use m2td_json::{FromJson, Json, JsonError, ToJson};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
 /// One parked task.
@@ -106,7 +111,7 @@ impl FromJson for DlqEntry {
 /// The persistent dead-letter queue of one checkpoint directory.
 #[derive(Debug)]
 pub struct DlqStore {
-    path: PathBuf,
+    files: SealedFiles,
     entries: Mutex<Vec<DlqEntry>>,
 }
 
@@ -115,19 +120,21 @@ impl DlqStore {
     pub const FILE_NAME: &'static str = "dlq.json";
 
     /// Opens the queue stored in `dir` (typically the checkpoint
-    /// directory). A missing or damaged file yields an empty queue.
+    /// directory). A missing file yields an empty queue; so does a
+    /// damaged one, after it is quarantined.
     pub fn open(dir: impl AsRef<Path>) -> Self {
-        let path = dir.as_ref().join(Self::FILE_NAME);
-        let entries = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Json::parse(&text).ok())
-            .and_then(|doc| {
-                let (_, payload) = open_record(&doc)?;
-                Vec::<DlqEntry>::from_json(payload).ok()
+        let files = SealedFiles::new(dir.as_ref(), "dlq.file", &["dlq"]);
+        let entries = files
+            .load(Self::FILE_NAME, |body| {
+                Vec::<DlqEntry>::from_json(&body)
+                    .map(Some)
+                    .map_err(|_| "payload")
             })
+            .ok()
+            .flatten()
             .unwrap_or_default();
         let store = Self {
-            path,
+            files,
             entries: Mutex::new(entries),
         };
         store.publish_depth();
@@ -139,9 +146,8 @@ impl DlqStore {
     }
 
     fn persist(&self) -> Result<(), String> {
-        let entries = self.entries.lock().unwrap().clone();
-        let doc = seal_record(&Json::Null, entries.to_json());
-        write_atomic(&self.path, &doc.to_compact())
+        let entries = self.entries.lock().unwrap().to_json();
+        self.files.publish(Self::FILE_NAME, &entries)
     }
 
     /// Number of parked entries.
@@ -239,6 +245,7 @@ impl DlqStore {
 mod tests {
     use super::*;
     use m2td_fault::TaskKind;
+    use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("m2td_dlq_tests").join(name);
@@ -307,15 +314,21 @@ mod tests {
         store.park(entry(1)).unwrap();
         std::fs::write(dir.join(DlqStore::FILE_NAME), "{torn").unwrap();
         assert_eq!(DlqStore::open(&dir).depth(), 0);
-        // Hostile nesting is rejected by the parser, not the stack.
+        // Hostile nesting is rejected by the header check, unparsed.
         std::fs::write(dir.join(DlqStore::FILE_NAME), "[".repeat(100_000)).unwrap();
         assert_eq!(DlqStore::open(&dir).depth(), 0);
         // A checksum-valid but version-stale record is also rejected.
-        let doc = seal_record(&Json::Null, vec![entry(1)].to_json());
-        let stale = doc
-            .to_compact()
-            .replacen("\"version\":2", "\"version\":1", 1);
-        std::fs::write(dir.join(DlqStore::FILE_NAME), stale).unwrap();
+        store.park(entry(1)).unwrap();
+        SealedFiles::new(&dir, "dlq.file", &[])
+            .corrupt(
+                DlqStore::FILE_NAME,
+                m2td_fault::CorruptionKind::StaleVersion,
+            )
+            .unwrap();
         assert_eq!(DlqStore::open(&dir).depth(), 0);
+        // Each damaged file was moved aside, none overwritten.
+        for n in 1..=3 {
+            assert!(dir.join(format!("dlq.quarantined.{n}.json")).exists());
+        }
     }
 }

@@ -30,7 +30,7 @@
 use crate::checkpoint::{CheckpointStore, Fingerprint};
 use crate::cluster::{ClusterModel, PhaseCost};
 use crate::dlq::{DlqEntry, DlqStore};
-use crate::manifest::{JobManifest, ManifestStore};
+use crate::manifest::{ManifestLog, ManifestStore};
 use crate::mapreduce::{JobOutput, JobSpec, MapReduce, ShuffleStats, TaskState, WaveRecovery};
 use crate::scheduler::DeadTask;
 use crate::transport::TaskEnvelope;
@@ -198,7 +198,7 @@ impl<T: FromJson> FromJson for TaskOutcome<T> {
 /// is refused (mirroring the ensemble coverage policy in `m2td-core`).
 #[derive(Debug, Clone, Copy)]
 pub struct JobRecovery<'a> {
-    /// Per-phase task-completion record (format-v2, fingerprint-sealed).
+    /// Per-phase task-completion log, keyed by the input fingerprint.
     pub manifest: &'a ManifestStore,
     /// Dead-letter queue for tasks whose retry budget is exhausted.
     pub dlq: &'a DlqStore,
@@ -228,26 +228,24 @@ impl<'a> JobRecovery<'a> {
 
 /// Shared mutable state of one resumable run.
 struct ResumeState {
-    manifest: Mutex<JobManifest>,
+    manifest: Mutex<ManifestLog>,
     drained: AtomicUsize,
 }
 
 /// The [`WaveRecovery`] wiring for one phase: manifest records completion
 /// and death, the DLQ holds corpses and requeue marks. Persistence errors
-/// are counted, not fatal — a lost manifest save only means the next run
-/// re-executes a task it could have resumed.
+/// are counted, not fatal — a lost manifest record only means the next
+/// run re-executes a task it could have resumed.
 struct PhaseRecovery<'a> {
     job: u64,
     phase: u8,
-    fingerprint: &'a Fingerprint,
-    store: &'a ManifestStore,
     dlq: &'a DlqStore,
     state: &'a ResumeState,
 }
 
 impl PhaseRecovery<'_> {
-    fn save(&self, manifest: &JobManifest) {
-        if self.store.save(self.fingerprint, manifest).is_err() {
+    fn record(&self, update: impl FnOnce(&mut ManifestLog) -> Result<(), String>) {
+        if update(&mut self.state.manifest.lock().unwrap()).is_err() {
             m2td_obs::counter_add("manifest.save_errors", 1);
         }
     }
@@ -255,13 +253,12 @@ impl PhaseRecovery<'_> {
 
 impl WaveRecovery for PhaseRecovery<'_> {
     fn begin_phase(&self, total: u64) {
-        let mut m = self.state.manifest.lock().unwrap();
-        m.begin_phase(self.phase, total);
-        self.save(&m);
+        self.record(|m| m.begin_phase(self.phase, total));
     }
 
     fn task_state(&self, task: u64) -> TaskState {
-        let m = self.state.manifest.lock().unwrap();
+        let log = self.state.manifest.lock().unwrap();
+        let m = log.manifest();
         if let Some(out) = m.completed_output(self.phase, task) {
             return TaskState::Completed(out.clone());
         }
@@ -274,17 +271,11 @@ impl WaveRecovery for PhaseRecovery<'_> {
     }
 
     fn record_complete(&self, task: u64, output: &Json) {
-        let mut m = self.state.manifest.lock().unwrap();
-        m.record_complete(self.phase, task, output.clone());
-        self.save(&m);
+        self.record(|m| m.record_complete(self.phase, task, output.clone()));
     }
 
     fn record_dead(&self, dead: &DeadTask, envelope: &TaskEnvelope) {
-        {
-            let mut m = self.state.manifest.lock().unwrap();
-            m.record_dead(self.phase, dead.task);
-            self.save(&m);
-        }
+        self.record(|m| m.record_dead(self.phase, dead.task));
         let entry = DlqEntry::from_envelope(
             envelope,
             dead.attempts,
@@ -568,20 +559,25 @@ impl<'a> DistJob<'a> {
         // runs (no-ops while m2td-guard is uninstalled).
         m2td_guard::check_cells("phase1.x1", x1.iter())?;
         m2td_guard::check_cells("phase1.x2", x2.iter())?;
-        let fp = Fingerprint::new(x1, x2, k, ranks, &opts);
+        // Only checkpoints and the manifest read the fingerprint: a plain
+        // run never hashes its inputs.
+        let fp = (checkpoint.is_some() || recovery.is_some())
+            .then(|| Fingerprint::new(x1, x2, k, ranks, &opts));
+        let ckpt = checkpoint.zip(fp.as_ref());
         // Resume state: the previous run's manifest (absent or wrong-
-        // fingerprint records degrade to a fresh one) plus drain tally.
-        let resume_state = recovery.map(|r| ResumeState {
-            manifest: Mutex::new(r.manifest.load(&fp).unwrap_or_default()),
-            drained: AtomicUsize::new(0),
-        });
+        // fingerprint logs degrade to a fresh one) plus drain tally.
+        let resume_state = match recovery.zip(fp.as_ref()) {
+            Some((r, fp)) => Some(ResumeState {
+                manifest: Mutex::new(r.manifest.resume(fp).map_err(DistError::Checkpoint)?),
+                drained: AtomicUsize::new(0),
+            }),
+            None => None,
+        };
         let phase_recovery = |job: u64, phase: u8| -> Option<PhaseRecovery<'_>> {
             match (recovery, &resume_state) {
                 (Some(r), Some(state)) => Some(PhaseRecovery {
                     job,
                     phase,
-                    fingerprint: &fp,
-                    store: r.manifest,
                     dlq: r.dlq,
                     state,
                 }),
@@ -589,8 +585,8 @@ impl<'a> DistJob<'a> {
             }
         };
         let mut resumed_tasks = 0;
-        let ckpt_factors = checkpoint.and_then(|c| c.load_phase1(&fp));
-        let ckpt_join = checkpoint.and_then(|c| c.load_phase2(&fp));
+        let ckpt_factors = ckpt.and_then(|(c, fp)| c.load_phase1(fp));
+        let ckpt_join = ckpt.and_then(|(c, fp)| c.load_phase2(fp));
         if checkpoint.is_some() && m2td_obs::installed() {
             let hit = |found: bool| if found { "hits" } else { "misses" };
             m2td_obs::counter_add(format!("ckpt.phase1.{}", hit(ckpt_factors.is_some())), 1);
@@ -705,9 +701,8 @@ impl<'a> DistJob<'a> {
                 for (n, f) in factors.iter().enumerate() {
                     m2td_guard::check_matrix("phase1.factor", Some(n), f)?;
                 }
-                if let Some(c) = checkpoint {
-                    c.save_phase1(&fp, &factors)
-                        .map_err(DistError::Checkpoint)?;
+                if let Some((c, fp)) = ckpt {
+                    c.save_phase1(fp, &factors).map_err(DistError::Checkpoint)?;
                     // Corruption stream: damage the freshly published record
                     // (models disk corruption after a successful write). This
                     // run keeps its in-memory factors; the *next* run must
@@ -846,8 +841,8 @@ impl<'a> DistJob<'a> {
                 entries.sort_unstable_by_key(|&(l, _)| l);
                 let (indices, values): (Vec<u64>, Vec<f64>) = entries.into_iter().unzip();
                 let join = SparseTensor::from_sorted_linear(&join_dims, indices, values)?;
-                if let Some(c) = checkpoint {
-                    c.save_phase2(&fp, &join).map_err(DistError::Checkpoint)?;
+                if let Some((c, fp)) = ckpt {
+                    c.save_phase2(fp, &join).map_err(DistError::Checkpoint)?;
                     if let Some(kind) = plan.ckpt_corruption(2) {
                         c.corrupt(2, kind).map_err(DistError::Checkpoint)?;
                     }

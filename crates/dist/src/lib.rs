@@ -44,7 +44,7 @@ pub use dmtd::{
     d_m2td, DistDecomposition, DistError, DistJob, FaultConfig, JobRecovery, Phase3Strategy,
     PhaseStats, PHASE1_JOB, PHASE2_JOB, PHASE3_JOB,
 };
-pub use manifest::{JobManifest, ManifestStore, PhaseManifest};
+pub use manifest::{JobManifest, ManifestLog, ManifestStore, PhaseManifest};
 pub use mapreduce::{JobOutput, JobSpec, MapReduce, ShuffleStats};
 pub use transport::{
     ChannelTransport, DirectTransport, TaskEnvelope, Transport, TransportError, TransportKind,

@@ -9,18 +9,32 @@
 //! re-run is cheap, deterministic, and required anyway to rebuild the
 //! shuffle groups the surviving reduce tasks consume.
 //!
-//! The manifest is persisted as a format-v2 record (`manifest.json`:
-//! version, input fingerprint, checksum, atomic unique-temp write) in
-//! the checkpoint directory. A record whose checksum fails or whose
-//! fingerprint does not match the current inputs is treated as absent:
-//! resuming over different inputs silently degrades to a full run
-//! rather than stitching outputs from two different jobs.
+//! ## Append-only log (format v3)
+//!
+//! `manifest.json` in the checkpoint directory is a [`SealedLog`]: one
+//! sealed record per line (see [`m2td_guard::integrity`]), each verified
+//! before its body is parsed. Record 0 holds the input [`Fingerprint`];
+//! every later record is one event — `begin` (a phase's task total),
+//! `complete` (a task and its serialized output) or `dead` — numbered
+//! consecutively, so a reordered, dropped or duplicated line reads as
+//! damage. Recording a task appends O(its output) bytes and rewrites
+//! nothing. [`ManifestStore::resume`] folds the events into a
+//! [`JobManifest`] and compacts the log to one event per recorded fact.
+//! The log is flushed per record and never fsynced: a lost record only
+//! means the next run re-executes a task it could have resumed.
+//!
+//! A log for different inputs is not resumed (counted in
+//! `manifest.fingerprint_mismatches`): the run starts fresh rather than
+//! stitching outputs from two different jobs. A torn last record is
+//! dropped. Damage before the last record keeps the verified prefix of
+//! events and quarantines the file to `manifest.quarantined.<n>.json`
+//! (counted in `manifest.log_quarantined`).
 
 use crate::checkpoint::Fingerprint;
-use crate::checkpoint::{open_record, seal_record, write_atomic};
-use m2td_json::{FromJson, Json, JsonError, ToJson};
+use m2td_guard::integrity::{SealedFiles, SealedLog};
+use m2td_json::{FromJson, Json, ToJson};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Completion bookkeeping for one phase.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -31,51 +45,6 @@ pub struct PhaseManifest {
     pub completed: BTreeMap<u64, Json>,
     /// Reduce tasks whose retry budget was exhausted (parked in the DLQ).
     pub dead: BTreeSet<u64>,
-}
-
-impl ToJson for PhaseManifest {
-    fn to_json(&self) -> Json {
-        let completed = self
-            .completed
-            .iter()
-            .map(|(task, out)| (task.to_string(), out.clone()))
-            .collect();
-        Json::Obj(vec![
-            ("total".to_string(), self.total.to_json()),
-            ("completed".to_string(), Json::Obj(completed)),
-            (
-                "dead".to_string(),
-                Json::Arr(self.dead.iter().map(|t| t.to_json()).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for PhaseManifest {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let completed = match json.require("completed")? {
-            Json::Obj(entries) => entries
-                .iter()
-                .map(|(k, v)| {
-                    k.parse::<u64>()
-                        .map(|task| (task, v.clone()))
-                        .map_err(|_| JsonError::Invalid(format!("bad task id key {k:?}")))
-                })
-                .collect::<Result<BTreeMap<_, _>, _>>()?,
-            other => {
-                return Err(JsonError::Invalid(format!(
-                    "completed must be an object, got {other:?}"
-                )))
-            }
-        };
-        Ok(Self {
-            total: u64::from_json(json.require("total")?)?,
-            completed,
-            dead: Vec::<u64>::from_json(json.require("dead")?)?
-                .into_iter()
-                .collect(),
-        })
-    }
 }
 
 /// Per-phase completion state of one job over one set of inputs.
@@ -128,83 +97,174 @@ impl JobManifest {
     }
 }
 
-impl ToJson for JobManifest {
-    fn to_json(&self) -> Json {
-        Json::Obj(
-            self.phases
-                .iter()
-                .map(|(phase, p)| (phase.to_string(), p.to_json()))
-                .collect(),
-        )
-    }
+/// One recorded fact of the manifest log. `Begin(phase, total)`,
+/// `Complete(phase, task, output)` and `Dead(phase, task)` mirror the
+/// [`JobManifest`] updates of the same names.
+#[derive(Debug, Clone, PartialEq)]
+enum Event {
+    /// Record 0: the inputs the log belongs to.
+    Fingerprint(Json),
+    Begin(u8, u64),
+    Complete(u8, u64, Json),
+    Dead(u8, u64),
 }
 
-impl FromJson for JobManifest {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json {
-            Json::Obj(entries) => Ok(Self {
-                phases: entries
-                    .iter()
-                    .map(|(k, v)| {
-                        let phase = k
-                            .parse::<u8>()
-                            .map_err(|_| JsonError::Invalid(format!("bad phase key {k:?}")))?;
-                        Ok((phase, PhaseManifest::from_json(v)?))
-                    })
-                    .collect::<Result<BTreeMap<_, _>, JsonError>>()?,
-            }),
-            other => Err(JsonError::Invalid(format!(
-                "manifest must be an object, got {other:?}"
-            ))),
+impl Event {
+    /// The record body, e.g. `{"seq":5,"phase":3,"complete":1,"output":…}`.
+    fn to_json(&self, seq: u64) -> Json {
+        let mut fields = vec![("seq".to_string(), seq.to_json())];
+        let (phase, key, n) = match self {
+            Event::Fingerprint(fp) => {
+                fields.push(("fingerprint".to_string(), fp.clone()));
+                return Json::Obj(fields);
+            }
+            Event::Begin(phase, total) => (phase, "begin", total),
+            Event::Complete(phase, task, _) => (phase, "complete", task),
+            Event::Dead(phase, task) => (phase, "dead", task),
+        };
+        fields.push(("phase".to_string(), phase.to_json()));
+        fields.push((key.to_string(), n.to_json()));
+        if let Event::Complete(_, _, output) = self {
+            fields.push(("output".to_string(), output.clone()));
+        }
+        Json::Obj(fields)
+    }
+
+    fn from_json(body: &Json) -> Option<Self> {
+        if let Some(fp) = body.get("fingerprint") {
+            return Some(Event::Fingerprint(fp.clone()));
+        }
+        let phase = u8::from_json(body.get("phase")?).ok()?;
+        let int = |key: &str| body.get(key).and_then(|v| v.as_u64().ok());
+        if let Some(total) = int("begin") {
+            Some(Event::Begin(phase, total))
+        } else if let Some(task) = int("complete") {
+            Some(Event::Complete(phase, task, body.get("output")?.clone()))
+        } else {
+            Some(Event::Dead(phase, int("dead")?))
         }
     }
 }
 
-/// Loads and saves the manifest of a checkpoint directory.
+impl JobManifest {
+    fn apply(&mut self, event: Event) {
+        match event {
+            Event::Fingerprint(_) => {}
+            Event::Begin(phase, total) => {
+                self.begin_phase(phase, total);
+            }
+            Event::Complete(phase, task, output) => self.record_complete(phase, task, output),
+            Event::Dead(phase, task) => self.record_dead(phase, task),
+        }
+    }
+
+    /// The events that rebuild this manifest from an empty one.
+    fn events(&self) -> impl Iterator<Item = Event> + '_ {
+        self.phases.iter().flat_map(|(&phase, p)| {
+            let done = p.completed.iter();
+            let done = done.map(move |(&task, out)| Event::Complete(phase, task, out.clone()));
+            let dead = p.dead.iter().map(move |&task| Event::Dead(phase, task));
+            std::iter::once(Event::Begin(phase, p.total))
+                .chain(done)
+                .chain(dead)
+        })
+    }
+}
+
+/// The manifest log of a checkpoint directory.
 #[derive(Debug, Clone)]
 pub struct ManifestStore {
-    dir: PathBuf,
+    files: SealedFiles,
 }
 
 impl ManifestStore {
-    /// File name of the manifest inside a checkpoint directory.
+    /// File name of the manifest log inside a checkpoint directory.
     pub const FILE_NAME: &'static str = "manifest.json";
 
     /// Opens the store rooted at `dir`, creating the directory if needed.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Self> {
         std::fs::create_dir_all(&dir)?;
         Ok(Self {
-            dir: dir.as_ref().to_path_buf(),
+            files: SealedFiles::new(dir.as_ref(), "manifest.log", &["manifest"]),
         })
     }
 
-    fn path(&self) -> PathBuf {
-        self.dir.join(Self::FILE_NAME)
-    }
-
-    /// Loads the manifest if one exists for exactly these inputs. A
-    /// missing file, parse failure, checksum mismatch, stale version, or
-    /// fingerprint for different inputs all yield `None`.
-    pub fn load(&self, fingerprint: &Fingerprint) -> Option<JobManifest> {
-        let text = std::fs::read_to_string(self.path()).ok()?;
-        let doc = Json::parse(&text).ok()?;
-        let (stored_fp, payload) = open_record(&doc)?;
-        if *stored_fp != fingerprint.to_json() {
-            m2td_obs::counter_add("manifest.fingerprint_mismatches", 1);
-            return None;
+    /// Folds the log into the manifest recorded for exactly these inputs
+    /// (empty when the log is absent or belongs to other inputs), then
+    /// compacts the log and returns the handle later events append
+    /// through.
+    pub fn resume(&self, fingerprint: &Fingerprint) -> Result<ManifestLog, String> {
+        let path = self.files.path(Self::FILE_NAME);
+        let mut next = 0u64;
+        let read = SealedLog::read(&path, |body| {
+            let event = Event::from_json(&body)?;
+            let in_place = body.get("seq")?.as_u64().ok()? == next
+                && (next == 0) == matches!(event, Event::Fingerprint(_));
+            next += 1;
+            in_place.then_some(event)
+        });
+        if read.corrupt {
+            self.files.quarantine(Self::FILE_NAME, "corrupt");
         }
-        JobManifest::from_json(payload).ok()
+        let fp = fingerprint.to_json();
+        let mut manifest = JobManifest::default();
+        let mut events = read.records.into_iter();
+        match events.next() {
+            Some(Event::Fingerprint(stored)) if stored == fp => {
+                events.for_each(|e| manifest.apply(e))
+            }
+            Some(_) => m2td_obs::counter_add("manifest.fingerprint_mismatches", 1),
+            None => {}
+        }
+        let mut log = SealedLog::open(&path, 0)?;
+        let compacted: Vec<Event> = std::iter::once(Event::Fingerprint(fp))
+            .chain(manifest.events())
+            .collect();
+        log.rewrite(compacted.iter().zip(0..).map(|(e, seq)| e.to_json(seq)))?;
+        Ok(ManifestLog {
+            log,
+            next_seq: compacted.len() as u64,
+            manifest,
+        })
+    }
+}
+
+/// A resumed manifest and the log its updates append to. Each update
+/// applies to the in-memory [`JobManifest`] and appends one record.
+#[derive(Debug)]
+pub struct ManifestLog {
+    log: SealedLog,
+    next_seq: u64,
+    manifest: JobManifest,
+}
+
+impl ManifestLog {
+    /// The manifest as recorded so far.
+    pub fn manifest(&self) -> &JobManifest {
+        &self.manifest
     }
 
-    /// Atomically persists the manifest, sealed to the input fingerprint.
-    pub fn save(&self, fingerprint: &Fingerprint, manifest: &JobManifest) -> Result<(), String> {
-        let doc = seal_record(&fingerprint.to_json(), manifest.to_json());
-        write_atomic(&self.path(), &doc.to_compact())
+    /// Records that `phase` schedules `total` reduce tasks.
+    pub fn begin_phase(&mut self, phase: u8, total: u64) -> Result<(), String> {
+        self.record(Event::Begin(phase, total))
     }
 
-    /// Removes the manifest file, if present.
-    pub fn clear(&self) {
-        let _ = std::fs::remove_file(self.path());
+    /// Records a completed task with its serialized output.
+    pub fn record_complete(&mut self, phase: u8, task: u64, output: Json) -> Result<(), String> {
+        self.record(Event::Complete(phase, task, output))
+    }
+
+    /// Records a task whose retry budget was exhausted.
+    pub fn record_dead(&mut self, phase: u8, task: u64) -> Result<(), String> {
+        self.record(Event::Dead(phase, task))
+    }
+
+    fn record(&mut self, event: Event) -> Result<(), String> {
+        let body = event.to_json(self.next_seq);
+        self.manifest.apply(event);
+        self.log.append(&body)?;
+        self.next_seq += 1;
+        Ok(())
     }
 }
 
@@ -214,6 +274,7 @@ mod tests {
     use m2td_core::M2tdOptions;
     use m2td_linalg::Matrix;
     use m2td_tensor::SparseTensor;
+    use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("m2td_manifest_tests").join(name);
@@ -229,6 +290,18 @@ mod tests {
         Fingerprint::new(&x1, &x2, k, &[2, 2, 2], &M2tdOptions::default())
     }
 
+    /// Records the sample history through `log`.
+    fn record_sample(log: &mut ManifestLog) {
+        log.begin_phase(1, 3).unwrap();
+        log.record_complete(1, 0, Json::Str("out0".to_string()))
+            .unwrap();
+        log.record_complete(1, 2, Json::Str("out2".to_string()))
+            .unwrap();
+        log.record_dead(1, 1).unwrap();
+        log.begin_phase(3, 5).unwrap();
+        log.record_complete(3, 4, Json::Int(9)).unwrap();
+    }
+
     fn sample() -> JobManifest {
         let mut m = JobManifest::default();
         m.begin_phase(1, 3);
@@ -240,14 +313,54 @@ mod tests {
         m
     }
 
+    fn lines(store: &ManifestStore) -> Vec<String> {
+        let text = std::fs::read_to_string(store.files.path(ManifestStore::FILE_NAME)).unwrap();
+        text.lines().map(str::to_string).collect()
+    }
+
     #[test]
-    fn manifest_round_trips_by_fingerprint() {
+    fn manifest_resumes_by_fingerprint() {
         let store = ManifestStore::open(tmp_dir("roundtrip")).unwrap();
-        let m = sample();
-        store.save(&fp(7), &m).unwrap();
-        assert_eq!(store.load(&fp(7)), Some(m));
-        // A different input fingerprint must not resume from this state.
-        assert_eq!(store.load(&fp(8)), None);
+        record_sample(&mut store.resume(&fp(7)).unwrap());
+        assert_eq!(store.resume(&fp(7)).unwrap().manifest(), &sample());
+        // Resuming again after a compaction reads the same state.
+        assert_eq!(store.resume(&fp(7)).unwrap().manifest(), &sample());
+        // A different input fingerprint must not resume from this state,
+        // and starts the log afresh.
+        assert_eq!(
+            store.resume(&fp(8)).unwrap().manifest(),
+            &JobManifest::default()
+        );
+        assert_eq!(
+            store.resume(&fp(7)).unwrap().manifest(),
+            &JobManifest::default()
+        );
+    }
+
+    #[test]
+    fn recording_a_task_appends_exactly_one_record() {
+        let store = ManifestStore::open(tmp_dir("linear")).unwrap();
+        let path = store.files.path(ManifestStore::FILE_NAME);
+        let mut log = store.resume(&fp(7)).unwrap();
+        log.begin_phase(1, 64).unwrap();
+        for task in 0..64u64 {
+            let before = std::fs::read(&path).unwrap();
+            log.record_complete(1, task, Json::Int(task as i64))
+                .unwrap();
+            let after = std::fs::read(&path).unwrap();
+            assert!(after.starts_with(&before), "task {task} rewrote history");
+            let grown = &after[before.len()..];
+            assert_eq!(grown.iter().filter(|&&b| b == b'\n').count(), 1);
+            assert_eq!(grown.last(), Some(&b'\n'));
+        }
+        // Compaction on resume keeps one record per fact.
+        assert_eq!(
+            store.resume(&fp(7)).unwrap().manifest().phases[&1]
+                .completed
+                .len(),
+            64
+        );
+        assert_eq!(lines(&store).len(), 1 + 1 + 64);
     }
 
     #[test]
@@ -271,45 +384,68 @@ mod tests {
     }
 
     #[test]
-    fn damaged_records_are_treated_as_absent() {
+    fn damage_keeps_the_verified_prefix() {
         let store = ManifestStore::open(tmp_dir("damaged")).unwrap();
-        store.save(&fp(7), &sample()).unwrap();
-        let path = store.path();
-        let good = std::fs::read_to_string(&path).unwrap();
+        record_sample(&mut store.resume(&fp(7)).unwrap());
+        let path = store.files.path(ManifestStore::FILE_NAME);
+        let good = lines(&store);
+        // Fingerprint, begin, complete 0, complete 2, dead 1, begin, ...
+        let mut prefix = JobManifest::default();
+        prefix.begin_phase(1, 3);
+        prefix.record_complete(1, 0, Json::Str("out0".to_string()));
 
-        std::fs::write(&path, good.replacen("out0", "out!", 1)).unwrap();
-        assert_eq!(store.load(&fp(7)), None, "checksum must catch bit damage");
+        // Mid-log damage: the prefix before it survives, the file is
+        // quarantined byte for byte.
+        let mut damaged = good.clone();
+        damaged[3] = damaged[3].replacen("out2", "out!", 1);
+        let text = damaged.join("\n") + "\n";
+        std::fs::write(&path, &text).unwrap();
+        assert_eq!(store.resume(&fp(7)).unwrap().manifest(), &prefix);
+        let moved = store.files.path("manifest.quarantined.1.json");
+        assert_eq!(std::fs::read_to_string(moved).unwrap(), text);
 
-        std::fs::write(&path, &good[..good.len() / 2]).unwrap();
-        assert_eq!(store.load(&fp(7)), None, "truncation");
+        // Swapped lines read as damage, not as a reordered history.
+        let mut swapped = good.clone();
+        swapped.swap(3, 4);
+        std::fs::write(&path, swapped.join("\n") + "\n").unwrap();
+        assert_eq!(store.resume(&fp(7)).unwrap().manifest(), &prefix);
 
-        store.clear();
-        assert_eq!(store.load(&fp(7)), None);
+        // A torn tail drops only the last record.
+        let torn = good.join("\n");
+        std::fs::write(&path, &torn[..torn.len() - 3]).unwrap();
+        let mut all_but_last = sample();
+        all_but_last.phases.get_mut(&3).unwrap().completed.clear();
+        assert_eq!(store.resume(&fp(7)).unwrap().manifest(), &all_but_last);
+        assert_eq!(store.files.quarantined("manifest").len(), 2);
     }
 
     #[test]
     fn hostile_nesting_is_treated_as_absent() {
         let store = ManifestStore::open(tmp_dir("hostile")).unwrap();
-        std::fs::write(store.path(), "[".repeat(100_000)).unwrap();
-        assert_eq!(store.load(&fp(7)), None);
+        let path = store.files.path(ManifestStore::FILE_NAME);
+        std::fs::write(path, "[".repeat(100_000)).unwrap();
+        assert_eq!(
+            store.resume(&fp(7)).unwrap().manifest(),
+            &JobManifest::default()
+        );
     }
 
     #[test]
     fn phase1_outputs_round_trip() {
         // The deepest document the workspace writes: phase-1 reduce
-        // outputs `{"ok": [κ, grams, factors]}` inside the sealed manifest.
+        // outputs `{"ok": [κ, grams, factors]}` inside a manifest record.
         let gram = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64 * 0.25);
         let factor = Matrix::from_fn(3, 2, |i, j| (i + j) as f64 - 0.5);
         let output = Json::Obj(vec![(
             "ok".to_string(),
             (1u8, vec![gram.clone(), gram], vec![factor.clone(), factor]).to_json(),
         )]);
-        let mut m = JobManifest::default();
-        m.begin_phase(1, 2);
-        m.record_complete(1, 0, output.clone());
-        m.record_complete(1, 1, output);
         let store = ManifestStore::open(tmp_dir("phase1")).unwrap();
-        store.save(&fp(7), &m).unwrap();
-        assert_eq!(store.load(&fp(7)), Some(m));
+        let mut log = store.resume(&fp(7)).unwrap();
+        log.begin_phase(1, 2).unwrap();
+        log.record_complete(1, 0, output.clone()).unwrap();
+        log.record_complete(1, 1, output).unwrap();
+        let expected = log.manifest().clone();
+        assert_eq!(store.resume(&fp(7)).unwrap().manifest(), &expected);
     }
 }

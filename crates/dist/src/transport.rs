@@ -34,8 +34,8 @@
 //! socket/process transport: nothing crosses it except bytes, so swapping
 //! the hop for a TCP stream changes no caller.
 
-use crate::checkpoint::fnv1a64;
 use m2td_fault::{CorruptionKind, FaultPlan, TaskKind};
+use m2td_guard::integrity::fnv1a64;
 use m2td_json::{Json, ToJson};
 use std::fmt;
 

@@ -11,7 +11,7 @@ use crate::wal::{Wal, WalOp};
 use crate::Result;
 use m2td_fault::{CrashOp, FaultPlan};
 use m2td_guard::GuardError;
-use m2td_json::Json;
+use m2td_json::{FromJson, Json, ToJson};
 use m2td_linalg::Matrix;
 use m2td_tensor::{
     sparse_core_with, ttm_dense_ws, CellEvaluator, CoreOrdering, DenseTensor, IncrementalEnsemble,
@@ -1073,11 +1073,8 @@ impl ServeEngine {
             };
             items.push(Json::Obj(vec![
                 ("name".to_string(), Json::Str(name.clone())),
-                (
-                    "dims".to_string(),
-                    crate::wal::usizes_to_json(st.inc.dims()),
-                ),
-                ("ranks".to_string(), crate::wal::usizes_to_json(&st.ranks)),
+                ("dims".to_string(), st.inc.dims().to_vec().to_json()),
+                ("ranks".to_string(), st.ranks.to_json()),
                 ("pending".to_string(), Json::Int(st.pending as i64)),
                 ("version".to_string(), Json::Int(st.version as i64)),
                 ("indices".to_string(), Json::Arr(indices)),
@@ -1111,11 +1108,11 @@ impl ServeEngine {
             };
             let dims = item
                 .get("dims")
-                .and_then(crate::wal::usizes_from_json)
+                .and_then(|j| Vec::<usize>::from_json(j).ok())
                 .ok_or_else(|| bad("dims"))?;
             let ranks = item
                 .get("ranks")
-                .and_then(crate::wal::usizes_from_json)
+                .and_then(|j| Vec::<usize>::from_json(j).ok())
                 .ok_or_else(|| bad("ranks"))?;
             let pending = match item.get("pending") {
                 Some(Json::Int(p)) if *p >= 0 => *p as usize,

@@ -2,11 +2,12 @@
 //!
 //! A snapshot is one file `snapshot.<seq>.json` holding the engine's
 //! entire durable state — every ensemble's entries, running Grams,
-//! staleness counter and published model — sealed in the same format-v2
-//! envelope as the D-M2TD checkpoints (see [`m2td_guard::integrity`]).
-//! `<seq>` is the write-ahead-log sequence number the snapshot covers:
-//! recovery loads the newest *valid* snapshot and replays only WAL
-//! records with a higher sequence.
+//! staleness counter and published model. It is one sealed record of the
+//! shared codec (format v3, see [`m2td_guard::integrity`]): a `{version,
+//! checksum}` header, a tab, then the raw body `{seq, payload}`, verified
+//! before it is parsed. `<seq>` is the write-ahead-log sequence number
+//! the snapshot covers: recovery loads the newest *valid* snapshot and
+//! replays only WAL records with a higher sequence.
 //!
 //! Publication is atomic in two steps — write a uniquely named temp file,
 //! then rename into place — with the crash injector's `snapshot-write`
@@ -16,14 +17,13 @@
 //! the next open.
 //!
 //! A snapshot that fails verification on load (seeded bit-flip, torn
-//! write, stale format) is **quarantined** — renamed to
+//! write, stale format) is **quarantined** — moved aside byte for byte to
 //! `snapshot.quarantined.<n>.json`, counted in
 //! `serve.snapshot_quarantined` — and recovery falls back to the next
 //! older snapshot plus a longer WAL replay. Retention keeps the newest
 //! [`SnapshotStore::keep`] snapshots (the WAL is truncated only past the
 //! *oldest* retained one, so every retained snapshot remains a viable
-//! recovery base) and the newest few quarantined records for post-mortem,
-//! both via the shared [`m2td_guard::integrity::sweep_retention`].
+//! recovery base) and the newest few quarantined records for post-mortem.
 //!
 //! All floating-point payload data — entry values, Gram matrices, model
 //! cores and factors — is stored as bit-cast `u64` arrays, so recovery is
@@ -33,30 +33,27 @@
 use crate::Result;
 use crate::ServeError;
 use m2td_fault::CorruptionKind;
-use m2td_guard::integrity::{
-    open_record, seal_record, sequenced_files, sweep_retention, FORMAT_VERSION,
-};
-use m2td_json::Json;
+use m2td_guard::integrity::{sequenced_files, sweep_retention, SealedFiles, Staged};
+use m2td_json::{FromJson, Json, ToJson};
 use m2td_linalg::Matrix;
 use m2td_tensor::DenseTensor;
 use std::path::{Path, PathBuf};
 
-/// Quarantined snapshots kept for post-mortem.
-const QUARANTINE_KEEP: usize = 4;
-
 /// File-name prefix of live snapshots.
 const SNAP_PREFIX: &str = "snapshot.";
-/// File-name prefix of quarantined snapshots.
-const QUARANTINE_PREFIX: &str = "snapshot.quarantined.";
 
-fn store_err(message: String) -> ServeError {
+pub(crate) fn store_err(message: String) -> ServeError {
     ServeError::Store { message }
+}
+
+fn snapshot_file(seq: u64) -> String {
+    format!("{SNAP_PREFIX}{seq}.json")
 }
 
 /// A directory of rolling engine snapshots.
 #[derive(Debug, Clone)]
 pub struct SnapshotStore {
-    dir: PathBuf,
+    files: SealedFiles,
     keep: usize,
 }
 
@@ -64,16 +61,12 @@ pub struct SnapshotStore {
 /// without [`PendingSnapshot::commit`] models a crash mid-snapshot: the
 /// orphaned temp file is removed on the next store open.
 #[derive(Debug)]
-pub struct PendingSnapshot {
-    tmp: PathBuf,
-    path: PathBuf,
-}
+pub struct PendingSnapshot(Staged);
 
 impl PendingSnapshot {
     /// Renames the temp file into place, making the snapshot visible.
     pub fn commit(self) -> Result<()> {
-        std::fs::rename(&self.tmp, &self.path)
-            .map_err(|e| store_err(format!("publish {}: {e}", self.path.display())))
+        self.0.commit().map_err(store_err)
     }
 }
 
@@ -97,29 +90,15 @@ impl SnapshotStore {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
             .map_err(|e| store_err(format!("create snapshot dir {}: {e}", dir.display())))?;
-        if let Ok(entries) = std::fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                if entry.file_name().to_string_lossy().contains(".tmp") {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
-        let store = Self {
-            dir,
+        Ok(Self {
+            files: SealedFiles::new(dir, "serve.snapshot", &["snapshot"]),
             keep: keep.max(1),
-        };
-        sweep_retention(
-            &store.dir,
-            QUARANTINE_PREFIX,
-            QUARANTINE_KEEP,
-            "serve.snapshot_quarantine_swept",
-        );
-        Ok(store)
+        })
     }
 
     /// The directory snapshots live in.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.files.dir()
     }
 
     /// How many snapshots the retention sweep keeps.
@@ -127,33 +106,22 @@ impl SnapshotStore {
         self.keep
     }
 
-    fn snapshot_path(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("{SNAP_PREFIX}{seq}.json"))
-    }
-
     /// Live snapshots as `(seq, path)` pairs, unsorted. Quarantined files
     /// do not match — their `snapshot.quarantined.<n>` tail is not a bare
     /// integer.
     pub fn snapshots(&self) -> Vec<(u64, PathBuf)> {
-        sequenced_files(&self.dir, SNAP_PREFIX)
+        sequenced_files(self.dir(), SNAP_PREFIX)
     }
 
-    /// Stage one: serialize and write the snapshot covering WAL sequence
-    /// `seq` to a temp file. The caller commits (or crashes) separately.
+    /// Stage one: seal and write the snapshot covering WAL sequence `seq`
+    /// to a temp file. The caller commits (or crashes) separately.
     pub fn begin_write(&self, seq: u64, payload: Json) -> Result<PendingSnapshot> {
-        let fingerprint = Json::Obj(vec![
-            ("kind".to_string(), Json::Str("serve-snapshot".to_string())),
+        let body = Json::Obj(vec![
             ("seq".to_string(), Json::Int(seq as i64)),
+            ("payload".to_string(), payload),
         ]);
-        let doc = seal_record(&fingerprint, payload);
-        let path = self.snapshot_path(seq);
-        let tmp = path.with_file_name(format!(
-            "{SNAP_PREFIX}{seq}.json.tmp.{}",
-            std::process::id()
-        ));
-        std::fs::write(&tmp, doc.to_compact())
-            .map_err(|e| store_err(format!("write temp {}: {e}", tmp.display())))?;
-        Ok(PendingSnapshot { tmp, path })
+        let staged = self.files.stage(&snapshot_file(seq), &body);
+        staged.map(PendingSnapshot).map_err(store_err)
     }
 
     /// Retention sweep over live snapshots: keeps the newest
@@ -162,73 +130,51 @@ impl SnapshotStore {
     /// including) that sequence, and no further: every retained snapshot
     /// must stay a viable recovery base when newer ones are quarantined.
     pub fn sweep(&self) -> Option<u64> {
-        sweep_retention(&self.dir, SNAP_PREFIX, self.keep, "serve.snapshots_retired");
+        sweep_retention(
+            self.dir(),
+            SNAP_PREFIX,
+            self.keep,
+            "serve.snapshots_retired",
+        );
         self.snapshots().iter().map(|&(seq, _)| seq).min()
     }
 
     pub(crate) fn quarantine(&self, seq: u64, reason: &str) {
-        let next = sequenced_files(&self.dir, QUARANTINE_PREFIX)
-            .iter()
-            .map(|(n, _)| n + 1)
-            .max()
-            .unwrap_or(1);
-        let dst = self.dir.join(format!("{QUARANTINE_PREFIX}{next}.json"));
-        if std::fs::rename(self.snapshot_path(seq), &dst).is_ok() {
-            m2td_obs::counter_add("serve.snapshot_quarantined", 1);
-            m2td_obs::counter_add(format!("serve.snapshot_quarantined.{reason}"), 1);
-            sweep_retention(
-                &self.dir,
-                QUARANTINE_PREFIX,
-                QUARANTINE_KEEP,
-                "serve.snapshot_quarantine_swept",
-            );
-        }
+        self.files.quarantine(&snapshot_file(seq), reason);
     }
 
     /// Scans for the newest snapshot that passes verification,
     /// quarantining damaged ones along the way instead of panicking on
-    /// them.
+    /// them. A snapshot whose body names another sequence (a file renamed
+    /// to the wrong one) cannot anchor replay and is damage too.
     pub fn scan(&self) -> StoreScan {
         let mut files = self.snapshots();
         files.sort_by_key(|&(seq, _)| std::cmp::Reverse(seq));
         let max_seen_seq = files.first().map(|&(seq, _)| seq);
         let mut quarantined = 0;
-        for (seq, path) in files {
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                self.quarantine(seq, "unreadable");
-                quarantined += 1;
-                continue;
-            };
-            let Ok(doc) = Json::parse(&text) else {
-                self.quarantine(seq, "unparseable");
-                quarantined += 1;
-                continue;
-            };
-            let Some((fingerprint, payload)) = open_record(&doc) else {
-                self.quarantine(seq, "checksum");
-                quarantined += 1;
-                continue;
-            };
-            let fp_seq = match fingerprint.get("seq") {
-                Some(Json::Int(s)) => *s as u64,
-                _ => {
-                    self.quarantine(seq, "fingerprint");
-                    quarantined += 1;
-                    continue;
+        for (seq, _) in files {
+            let loaded = self.files.load(&snapshot_file(seq), |body| {
+                if body.get("seq").and_then(|s| s.as_u64().ok()) != Some(seq) {
+                    return Err("fingerprint");
                 }
-            };
-            if fp_seq != seq {
-                // A record renamed to the wrong sequence cannot anchor
-                // replay correctly.
-                self.quarantine(seq, "fingerprint");
-                quarantined += 1;
-                continue;
+                match body {
+                    Json::Obj(fields) => fields.into_iter().find(|(k, _)| k == "payload"),
+                    _ => None,
+                }
+                .map(|(_, payload)| Some(payload))
+                .ok_or("structure")
+            });
+            match loaded {
+                Ok(Some(payload)) => {
+                    return StoreScan {
+                        loaded: Some((seq, payload)),
+                        max_seen_seq,
+                        quarantined,
+                    }
+                }
+                Ok(None) => {} // removed since the listing
+                Err(_) => quarantined += 1,
             }
-            return StoreScan {
-                loaded: Some((seq, payload.clone())),
-                max_seen_seq,
-                quarantined,
-            };
         }
         StoreScan {
             loaded: None,
@@ -241,39 +187,12 @@ impl SnapshotStore {
     /// simulating disk damage for the chaos harness. Returns whether a
     /// snapshot existed to corrupt.
     pub fn corrupt_newest(&self, kind: CorruptionKind) -> Result<bool> {
-        let Some((_, path)) = self.snapshots().into_iter().max_by_key(|&(seq, _)| seq) else {
+        let Some((seq, _)) = self.snapshots().into_iter().max_by_key(|&(seq, _)| seq) else {
             return Ok(false);
         };
-        let bytes = std::fs::read(&path)
-            .map_err(|e| store_err(format!("read snapshot {}: {e}", path.display())))?;
-        let mutated = match kind {
-            CorruptionKind::BitFlip => {
-                let mut b = bytes;
-                let mid = b.len() / 2;
-                b[mid] ^= 0x01;
-                b
-            }
-            CorruptionKind::Truncate => bytes[..bytes.len() / 2].to_vec(),
-            CorruptionKind::StaleVersion => match Json::parse(&String::from_utf8_lossy(&bytes)) {
-                Ok(Json::Obj(fields)) => {
-                    let rewritten: Vec<(String, Json)> = fields
-                        .into_iter()
-                        .map(|(k, v)| {
-                            if k == "version" {
-                                (k, Json::Int(FORMAT_VERSION - 1))
-                            } else {
-                                (k, v)
-                            }
-                        })
-                        .collect();
-                    Json::Obj(rewritten).to_compact().into_bytes()
-                }
-                _ => bytes[..bytes.len() / 2].to_vec(),
-            },
-        };
-        std::fs::write(&path, mutated)
-            .map_err(|e| store_err(format!("corrupt snapshot {}: {e}", path.display())))?;
-        Ok(true)
+        self.files
+            .corrupt(&snapshot_file(seq), kind)
+            .map_err(store_err)
     }
 }
 
@@ -332,26 +251,17 @@ pub(crate) fn matrix_from_json(json: &Json) -> Result<Matrix> {
 /// Encodes a dense tensor as `{dims, bits}` with bit-exact data.
 pub(crate) fn dense_to_json(t: &DenseTensor) -> Json {
     Json::Obj(vec![
-        (
-            "dims".to_string(),
-            Json::Arr(t.dims().iter().map(|&d| Json::Int(d as i64)).collect()),
-        ),
+        ("dims".to_string(), t.dims().to_vec().to_json()),
         ("bits".to_string(), bits_to_json(t.as_slice())),
     ])
 }
 
 /// Decodes a [`dense_to_json`] object.
 pub(crate) fn dense_from_json(json: &Json) -> Result<DenseTensor> {
-    let dims = match json.get("dims") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|it| match it {
-                Json::Int(d) if *d >= 0 => Ok(*d as usize),
-                _ => Err(store_err("bad tensor dim".to_string())),
-            })
-            .collect::<Result<Vec<usize>>>()?,
-        _ => return Err(store_err("dense tensor missing dims".to_string())),
-    };
+    let dims = json
+        .get("dims")
+        .and_then(|j| Vec::<usize>::from_json(j).ok());
+    let dims = dims.ok_or_else(|| store_err("dense tensor missing dims".to_string()))?;
     let data = bits_from_json(
         json.get("bits")
             .ok_or_else(|| store_err("dense tensor missing bits".to_string()))?,

@@ -9,32 +9,36 @@
 //! Automatic staleness refreshes are **not** logged — replaying the
 //! absorbs re-derives them deterministically at the same points.
 //!
-//! Each record is one line of compact `m2td-json`: a format-v2 envelope
-//! (see [`m2td_guard::integrity`]) whose fingerprint is the record's
-//! sequence number and whose payload is the operation. Absorb values are
-//! stored as bit-cast `u64` (through `Json::Int`), so recovery restores
-//! them bitwise even for values a shortest-round-trip float formatter
-//! could not represent (NaN, infinities).
+//! The file is a [`SealedLog`] (format v3, see [`m2td_guard::integrity`]):
+//! one line per record, a `{version, checksum}` header, a tab, then the
+//! raw body — the record's sequence number and its operation, e.g.
+//! `{"seq":7,"op":"refresh","name":"a"}`. Reading works on bytes and
+//! verifies each line before parsing its body, so no damaged byte — a
+//! flipped high bit included — can make the log read as empty. Absorb
+//! values are stored as bit-cast `u64` (through `Json::Int`), so recovery
+//! restores them bitwise even for values a shortest-round-trip float
+//! formatter could not represent (NaN, infinities).
 //!
 //! Durability batching: [`Wal::append`] flushes every record to the OS
 //! (the bytes survive a process *crash*), but only issues an expensive
-//! `fsync` every `sync_every` records (machine-loss durability). `0`
-//! disables fsync entirely.
+//! `fsync` every `sync_every` records (machine-loss durability), counted
+//! in `serve.wal_syncs`. `0` disables fsync entirely.
 //!
-//! Reading tolerates a *torn tail*: a final record that fails to parse or
-//! verify is the half-written remnant of a crash mid-append and is
-//! dropped. A damaged record with valid records *after* it is different —
-//! that is corruption of already-committed history, and
-//! [`WalReadReport::corrupt`] reports it so the engine can degrade to
-//! read-only instead of silently serving a hole in the timeline.
+//! Reading tolerates a *torn tail*: a final record that fails to verify,
+//! or lacks its newline, is the remnant of a crash mid-append — never
+//! acknowledged — and is dropped. The first record of the file carries
+//! `"first":true` and sequence numbers run consecutively from it, so a
+//! reordered, lost or duplicated line is damage too.
+//! A damaged record with records *after* it is corruption of
+//! already-committed history, and [`WalReadReport::corrupt`] reports it
+//! so the engine can degrade to read-only instead of silently serving a
+//! hole in the timeline.
 
+use crate::store::store_err;
 use crate::Result;
-use crate::ServeError;
-use m2td_guard::integrity::{open_record, seal_record};
-use m2td_json::Json;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use m2td_guard::integrity::{LogRead, SealedLog};
+use m2td_json::{FromJson, Json, ToJson};
+use std::path::Path;
 
 /// One logged mutating operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,91 +74,6 @@ pub enum WalOp {
     },
 }
 
-impl WalOp {
-    fn to_json(&self) -> Json {
-        let (kind, mut fields) = match self {
-            WalOp::Register { name, dims, ranks } => (
-                "register",
-                vec![
-                    ("name".to_string(), Json::Str(name.clone())),
-                    ("dims".to_string(), usizes_to_json(dims)),
-                    ("ranks".to_string(), usizes_to_json(ranks)),
-                ],
-            ),
-            WalOp::Absorb {
-                name,
-                index,
-                value_bits,
-            } => (
-                "absorb",
-                vec![
-                    ("name".to_string(), Json::Str(name.clone())),
-                    ("index".to_string(), usizes_to_json(index)),
-                    ("value_bits".to_string(), Json::Int(*value_bits as i64)),
-                ],
-            ),
-            WalOp::Remove { name } => (
-                "remove",
-                vec![("name".to_string(), Json::Str(name.clone()))],
-            ),
-            WalOp::Refresh { name } => (
-                "refresh",
-                vec![("name".to_string(), Json::Str(name.clone()))],
-            ),
-        };
-        fields.insert(0, ("op".to_string(), Json::Str(kind.to_string())));
-        Json::Obj(fields)
-    }
-
-    fn from_json(json: &Json) -> Option<WalOp> {
-        let name = match json.get("name") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => return None,
-        };
-        match json.get("op") {
-            Some(Json::Str(kind)) => match kind.as_str() {
-                "register" => Some(WalOp::Register {
-                    name,
-                    dims: usizes_from_json(json.get("dims")?)?,
-                    ranks: usizes_from_json(json.get("ranks")?)?,
-                }),
-                "absorb" => {
-                    let value_bits = match json.get("value_bits") {
-                        Some(Json::Int(b)) => *b as u64,
-                        _ => return None,
-                    };
-                    Some(WalOp::Absorb {
-                        name,
-                        index: usizes_from_json(json.get("index")?)?,
-                        value_bits,
-                    })
-                }
-                "remove" => Some(WalOp::Remove { name }),
-                "refresh" => Some(WalOp::Refresh { name }),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-pub(crate) fn usizes_to_json(v: &[usize]) -> Json {
-    Json::Arr(v.iter().map(|&x| Json::Int(x as i64)).collect())
-}
-
-pub(crate) fn usizes_from_json(json: &Json) -> Option<Vec<usize>> {
-    match json {
-        Json::Arr(items) => items
-            .iter()
-            .map(|it| match it {
-                Json::Int(i) if *i >= 0 => Some(*i as usize),
-                _ => None,
-            })
-            .collect(),
-        _ => None,
-    }
-}
-
 /// One sequenced log record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalRecord {
@@ -165,55 +84,88 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
-    fn to_line(&self) -> String {
-        let fingerprint = Json::Obj(vec![
-            ("kind".to_string(), Json::Str("serve-wal".to_string())),
-            ("seq".to_string(), Json::Int(self.seq as i64)),
+    /// The record body; `first` marks the first record of the file.
+    fn to_json(&self, first: bool) -> Json {
+        let field = |key: &str, value: Json| (key.to_string(), value);
+        let (kind, name, extra) = match &self.op {
+            WalOp::Register { name, dims, ranks } => (
+                "register",
+                name,
+                vec![
+                    field("dims", dims.to_json()),
+                    field("ranks", ranks.to_json()),
+                ],
+            ),
+            WalOp::Absorb {
+                name,
+                index,
+                value_bits,
+            } => (
+                "absorb",
+                name,
+                vec![
+                    field("index", index.to_json()),
+                    field("value_bits", Json::Int(*value_bits as i64)),
+                ],
+            ),
+            WalOp::Remove { name } => ("remove", name, vec![]),
+            WalOp::Refresh { name } => ("refresh", name, vec![]),
+        };
+        let mut fields = vec![field("seq", Json::Int(self.seq as i64))];
+        if first {
+            fields.push(field("first", Json::Bool(true)));
+        }
+        fields.extend([
+            field("op", Json::Str(kind.to_string())),
+            field("name", Json::Str(name.clone())),
         ]);
-        seal_record(&fingerprint, self.op.to_json()).to_compact()
+        fields.extend(extra);
+        Json::Obj(fields)
     }
 
-    fn from_line(line: &str) -> Option<WalRecord> {
-        let doc = Json::parse(line).ok()?;
-        let (fingerprint, payload) = open_record(&doc)?;
-        match fingerprint.get("kind") {
-            Some(Json::Str(k)) if k == "serve-wal" => {}
-            _ => return None,
-        }
-        let seq = match fingerprint.get("seq") {
+    fn from_json(json: &Json) -> Option<WalRecord> {
+        let seq = match json.get("seq") {
             Some(Json::Int(s)) if *s > 0 => *s as u64,
             _ => return None,
         };
-        Some(WalRecord {
-            seq,
-            op: WalOp::from_json(payload)?,
-        })
+        let name = match json.get("name") {
+            Some(Json::Str(s)) => s.clone(),
+            _ => return None,
+        };
+        let op = match json.get("op")?.as_str().ok()? {
+            "register" => WalOp::Register {
+                name,
+                dims: FromJson::from_json(json.get("dims")?).ok()?,
+                ranks: FromJson::from_json(json.get("ranks")?).ok()?,
+            },
+            "absorb" => WalOp::Absorb {
+                name,
+                index: FromJson::from_json(json.get("index")?).ok()?,
+                value_bits: match json.get("value_bits")? {
+                    Json::Int(b) => *b as u64,
+                    _ => return None,
+                },
+            },
+            "remove" => WalOp::Remove { name },
+            "refresh" => WalOp::Refresh { name },
+            _ => return None,
+        };
+        Some(WalRecord { seq, op })
     }
 }
 
-/// Outcome of reading a log back from disk.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WalReadReport {
-    /// The verified records, in file order.
-    pub records: Vec<WalRecord>,
-    /// `true` when a damaged record was followed by valid ones —
-    /// committed history is corrupt (not just a torn tail) and the engine
-    /// must not pretend the timeline is complete. Records *after* the
-    /// damage are not returned: replaying across a hole would apply
-    /// operations against the wrong state.
-    pub corrupt: bool,
-    /// Lines dropped as a torn tail (0 or 1 after a clean crash).
-    pub torn: usize,
-}
+/// Outcome of reading a log back from disk: the verified records in file
+/// order, whether committed history is corrupt, and whether a torn tail
+/// was dropped.
+pub type WalReadReport = LogRead<WalRecord>;
 
 /// The append-side handle of the write-ahead log.
 #[derive(Debug)]
 pub struct Wal {
-    path: PathBuf,
-    file: File,
+    log: SealedLog,
     next_seq: u64,
-    sync_every: usize,
-    appends_since_sync: usize,
+    /// Whether the file holds no record yet.
+    fresh: bool,
 }
 
 impl Wal {
@@ -222,19 +174,10 @@ impl Wal {
     /// recovery passes one past the highest sequence it replayed or
     /// skipped. `sync_every` batches fsyncs (`0` disables them).
     pub fn open(path: &Path, next_seq: u64, sync_every: usize) -> Result<Self> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| ServeError::Store {
-                message: format!("open wal {}: {e}", path.display()),
-            })?;
         Ok(Self {
-            path: path.to_path_buf(),
-            file,
+            log: SealedLog::open(path, sync_every).map_err(store_err)?,
             next_seq,
-            sync_every,
-            appends_since_sync: 0,
+            fresh: std::fs::metadata(path).map_or(true, |m| m.len() == 0),
         })
     }
 
@@ -250,90 +193,38 @@ impl Wal {
 
     /// Appends one operation, returning its sequence number. The record
     /// is flushed to the OS before this returns (crash durability); an
-    /// fsync is issued every `sync_every` appends (machine durability),
-    /// counted in `serve.wal_syncs`.
+    /// fsync is issued every `sync_every` appends (machine durability).
     pub fn append(&mut self, op: WalOp) -> Result<u64> {
         let record = WalRecord {
             seq: self.next_seq,
             op,
         };
-        let mut line = record.to_line();
-        line.push('\n');
-        self.file
-            .write_all(line.as_bytes())
-            .map_err(|e| ServeError::Store {
-                message: format!("append wal {}: {e}", self.path.display()),
-            })?;
-        self.file.flush().map_err(|e| ServeError::Store {
-            message: format!("flush wal {}: {e}", self.path.display()),
-        })?;
+        if self
+            .log
+            .append(&record.to_json(self.fresh))
+            .map_err(store_err)?
+        {
+            m2td_obs::counter_add("serve.wal_syncs", 1);
+        }
+        self.fresh = false;
         self.next_seq += 1;
         m2td_obs::counter_add("serve.wal_appends", 1);
-        if self.sync_every > 0 {
-            self.appends_since_sync += 1;
-            if self.appends_since_sync >= self.sync_every {
-                self.sync()?;
-            }
-        }
         Ok(record.seq)
-    }
-
-    /// Forces an fsync of everything appended so far.
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.sync_data().map_err(|e| ServeError::Store {
-            message: format!("sync wal {}: {e}", self.path.display()),
-        })?;
-        self.appends_since_sync = 0;
-        m2td_obs::counter_add("serve.wal_syncs", 1);
-        Ok(())
     }
 
     /// Reads and verifies the log at `path` (absent file = empty log).
     pub fn read(path: &Path) -> WalReadReport {
-        let text = std::fs::read_to_string(path).unwrap_or_default();
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        let mut records = Vec::new();
-        let mut bad_at = None;
-        for (i, line) in lines.iter().enumerate() {
-            match WalRecord::from_line(line) {
-                Some(rec) => {
-                    // Sequence numbers must be strictly increasing; a
-                    // misordered record is damage, not a tail.
-                    if records
-                        .last()
-                        .is_some_and(|prev: &WalRecord| rec.seq <= prev.seq)
-                    {
-                        bad_at = Some(i);
-                        break;
-                    }
-                    records.push(rec);
-                }
-                None => {
-                    bad_at = Some(i);
-                    break;
-                }
-            }
-        }
-        match bad_at {
-            None => WalReadReport {
-                records,
-                corrupt: false,
-                torn: 0,
-            },
-            // Damage on the last line is a torn append — the record was
-            // never acknowledged, dropping it is the contract. Damage
-            // earlier is corruption of committed history.
-            Some(i) if i + 1 == lines.len() => WalReadReport {
-                records,
-                corrupt: false,
-                torn: 1,
-            },
-            Some(_) => WalReadReport {
-                records,
-                corrupt: true,
-                torn: 0,
-            },
-        }
+        let mut last: Option<u64> = None;
+        SealedLog::read(path, |body| {
+            let rec = WalRecord::from_json(&body)?;
+            let first = body.get("first").is_some();
+            let in_place = match last {
+                None => first,
+                Some(prev) => !first && rec.seq == prev + 1,
+            };
+            last = Some(rec.seq);
+            in_place.then_some(rec)
+        })
     }
 
     /// Rewrites the log keeping only records with `seq > covered_seq`
@@ -341,17 +232,15 @@ impl Wal {
     /// rewrite publishes atomically and the append handle is reopened on
     /// the new file.
     pub fn truncate_covered(&mut self, covered_seq: u64) -> Result<()> {
-        let report = Self::read(&self.path);
-        let mut text = String::new();
-        for rec in report.records.iter().filter(|r| r.seq > covered_seq) {
-            text.push_str(&rec.to_line());
-            text.push('\n');
-        }
-        m2td_guard::integrity::write_atomic(&self.path, &text)
-            .map_err(|message| ServeError::Store { message })?;
-        let reopened = Self::open(&self.path, self.next_seq, self.sync_every)?;
-        self.file = reopened.file;
-        self.appends_since_sync = 0;
+        let report = Self::read(self.log.path());
+        let kept: Vec<&WalRecord> = report
+            .records
+            .iter()
+            .filter(|r| r.seq > covered_seq)
+            .collect();
+        let bodies = kept.iter().enumerate().map(|(i, r)| r.to_json(i == 0));
+        self.log.rewrite(bodies).map_err(store_err)?;
+        self.fresh = kept.is_empty();
         Ok(())
     }
 }
@@ -359,6 +248,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("m2td_wal_tests").join(name);
