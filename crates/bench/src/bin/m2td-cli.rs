@@ -201,8 +201,9 @@ FLAGS (run only):
   --save <path>          write the Tucker decomposition as JSON
 
 FLAGS (dist):
-  --dir <path>           job directory: checkpoints, manifest.json and
-                         dlq.json live here (required)
+  --dir <path>           job directory (required): phase checkpoints,
+                         the append-only manifest.json log and dlq.json,
+                         all sealed v3 records; v2 directories are rejected
   --workers <n>          logical workers                  [default 2]
   --transport <t>        direct | channel (overrides M2TD_TRANSPORT)
   --p-dim <n>            pivot-mode extent of the input   [default 8]

@@ -511,7 +511,7 @@ impl<'a> DistJob<'a> {
     /// attempt surfaces [`DistError::Exhausted`].
     ///
     /// With one, every completed reduce task (with its serialized output)
-    /// is recorded in a fingerprint-sealed [`JobManifest`], so a process
+    /// is appended to the input-fingerprinted [`ManifestLog`], so a process
     /// killed mid-phase and restarted over the same inputs re-runs only
     /// incomplete tasks, and an exhausted task is parked in the
     /// [`DlqStore`] with its envelope and attempt history instead of

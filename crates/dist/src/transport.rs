@@ -3,8 +3,8 @@
 //!
 //! Everything that crosses a transport is a [`TaskEnvelope`]: the task
 //! identity (job, phase, kind, task id, attempt) plus an opaque serialized
-//! payload, sealed with the same FNV-1a-64 checksum the checkpoint-v2
-//! store uses. On the wire an envelope is one frame:
+//! payload, sealed with the FNV-1a-64 checksum every durable record of
+//! `m2td_guard::integrity` uses. On the wire an envelope is one frame:
 //!
 //! ```text
 //! {"job":3,"phase":2,"kind":"reduce","task":17,"attempt":1,"checksum":1447188547863556484}
