@@ -100,7 +100,6 @@ impl JobManifest {
 /// One recorded fact of the manifest log. `Begin(phase, total)`,
 /// `Complete(phase, task, output)` and `Dead(phase, task)` mirror the
 /// [`JobManifest`] updates of the same names.
-#[derive(Debug, Clone, PartialEq)]
 enum Event {
     /// Record 0: the inputs the log belongs to.
     Fingerprint(Json),
@@ -319,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_resumes_by_fingerprint() {
+    fn manifest_round_trips_by_fingerprint() {
         let store = ManifestStore::open(tmp_dir("roundtrip")).unwrap();
         record_sample(&mut store.resume(&fp(7)).unwrap());
         assert_eq!(store.resume(&fp(7)).unwrap().manifest(), &sample());

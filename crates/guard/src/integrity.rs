@@ -73,7 +73,7 @@ fn header(version: i64, checksum: u64) -> String {
 }
 
 /// Frames `body` as one sealed record: header, tab, compact body.
-pub fn seal(body: &Json) -> String {
+fn seal(body: &Json) -> String {
     let body = body.to_compact();
     header(FORMAT_VERSION, fnv1a64(&[body.as_bytes()])) + &body
 }
@@ -340,7 +340,7 @@ impl SealedLog {
     }
 
     /// Forces an fsync of everything appended so far.
-    pub fn sync(&mut self) -> Result<(), String> {
+    fn sync(&mut self) -> Result<(), String> {
         self.since_sync = 0;
         self.file
             .sync_data()
@@ -363,10 +363,16 @@ impl SealedLog {
             .is_some_and(|last| !last.iter().all(u8::is_ascii_whitespace));
         lines.retain(|line| !line.iter().all(u8::is_ascii_whitespace));
         let mut records = Vec::new();
-        let bad = lines.iter().position(|line| {
-            let record = open(line).ok().and_then(&mut decode);
-            record.map(|r| records.push(r)).is_none()
-        });
+        let mut bad = None;
+        for (i, line) in lines.iter().enumerate() {
+            match open(line).ok().and_then(&mut decode) {
+                Some(record) => records.push(record),
+                None => {
+                    bad = Some(i);
+                    break;
+                }
+            }
+        }
         let corrupt = bad.is_some_and(|i| i + 1 < lines.len() || unterminated);
         let torn = usize::from(!corrupt && (bad.is_some() || unterminated));
         LogRead {
@@ -413,11 +419,14 @@ fn entries(dir: &Path) -> impl Iterator<Item = std::fs::DirEntry> {
 pub fn sweep_retention(dir: &Path, prefix: &str, keep: usize, counter: &str) -> usize {
     let mut files = sequenced_files(dir, prefix);
     files.sort_by_key(|(seq, _)| std::cmp::Reverse(*seq));
-    let removed = files.into_iter().skip(keep);
-    let removed = removed.filter(|(_, path)| std::fs::remove_file(path).is_ok());
+    let mut removed = 0;
+    for (_, path) in files.into_iter().skip(keep) {
+        if std::fs::remove_file(&path).is_ok() {
+            m2td_obs::counter_add(counter, 1);
+            removed += 1;
+        }
+    }
     removed
-        .inspect(|_| m2td_obs::counter_add(counter, 1))
-        .count()
 }
 
 #[cfg(test)]
@@ -446,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn seal_then_open_round_trips_and_every_flip_or_cut_is_rejected() {
+    fn seal_then_open_round_trips_and_detects_mutation() {
         let record = seal(&body()).into_bytes();
         assert_eq!(open(&record), Ok(body()));
         // The frame is one line even when strings hold tabs and newlines.
@@ -562,22 +571,30 @@ mod tests {
         assert!(all(&path.with_extension("absent")).records.is_empty());
     }
 
+    /// One test covering both real call-site naming schemes: the dist
+    /// checkpoint store's `phase<N>.quarantined.<seq>.json` family and the
+    /// serve snapshot store's `snapshot.<seq>.json` family share this
+    /// sweep.
     #[test]
-    fn sweep_retention_keeps_newest_and_ignores_neighbours() {
-        let dir = tmp_dir("sweep");
-        for seq in 1..=6u64 {
-            std::fs::write(dir.join(format!("snapshot.{seq}.json")), "x").unwrap();
+    fn sweep_retention_keeps_newest_for_both_naming_schemes() {
+        for prefix in ["phase1.quarantined.", "snapshot."] {
+            let dir = tmp_dir(&format!("sweep_{}", prefix.trim_end_matches('.')));
+            for seq in 1..=6u64 {
+                std::fs::write(dir.join(format!("{prefix}{seq}.json")), "x").unwrap();
+            }
+            // A neighbor that merely shares the directory is untouched.
+            std::fs::write(dir.join("other.2.json"), "y").unwrap();
+            let removed = sweep_retention(&dir, prefix, 2, "guard.test_swept");
+            assert_eq!(removed, 4, "prefix {prefix}");
+            let mut kept: Vec<u64> = sequenced_files(&dir, prefix)
+                .into_iter()
+                .map(|(seq, _)| seq)
+                .collect();
+            kept.sort_unstable();
+            assert_eq!(kept, vec![5, 6], "prefix {prefix}");
+            assert!(dir.join("other.2.json").exists());
+            // Already at/below the floor: nothing more to do.
+            assert_eq!(sweep_retention(&dir, prefix, 2, "guard.test_swept"), 0);
         }
-        // A neighbor that merely shares the directory is untouched.
-        std::fs::write(dir.join("snapshot.quarantined.2.json"), "y").unwrap();
-        assert_eq!(sweep_retention(&dir, "snapshot.", 2, "guard.test_swept"), 4);
-        let mut kept: Vec<u64> = sequenced_files(&dir, "snapshot.")
-            .into_iter()
-            .map(|(seq, _)| seq)
-            .collect();
-        kept.sort_unstable();
-        assert_eq!(kept, vec![5, 6]);
-        assert!(dir.join("snapshot.quarantined.2.json").exists());
-        assert_eq!(sweep_retention(&dir, "snapshot.", 2, "guard.test_swept"), 0);
     }
 }
