@@ -1,8 +1,10 @@
 //! End-to-end coverage of the `m2td-cli` binary: the core fingerprints of
 //! the deterministic `dist` and `serve` commands, the dead-letter-queue
 //! operator flow, crash recovery of `serve` at every kill-point stream,
-//! and rejection of flags a subcommand does not read.
+//! the metrics snapshot of a `run`, and rejection of flags a subcommand
+//! does not read.
 
+use m2td_json::Json;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -188,6 +190,65 @@ fn serve_at_defaults_prints_its_pinned_core() {
     let (code, out, err) = cli(&dir, &["serve"]);
     assert_eq!(code, 0, "serve failed:\n{out}{err}");
     assert_eq!(fingerprint(&out), SERVE_DEFAULTS);
+}
+
+/// Runs `run --system sir --resolution 4 --rank 2` with `extra` flags and
+/// `--metrics-out`, and returns the parsed metrics snapshot.
+fn run_metrics(name: &str, extra: &[&str]) -> Json {
+    let dir = fresh_dir(name);
+    let mut args = vec!["run", "--system", "sir", "--resolution", "4", "--rank", "2"];
+    args.extend_from_slice(extra);
+    args.extend_from_slice(&["--metrics-out", "metrics.json"]);
+    let (code, out, err) = cli(&dir, &args);
+    assert_eq!(code, 0, "run failed:\n{out}{err}");
+    let text = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics snapshot written");
+    Json::parse(&text).expect("metrics snapshot parses")
+}
+
+/// The span labels of a metrics snapshot.
+fn span_labels(snap: &Json) -> Vec<String> {
+    let spans = snap.require("spans").and_then(Json::as_array).unwrap();
+    spans
+        .iter()
+        .map(|s| {
+            s.require("label")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_string()
+        })
+        .collect()
+}
+
+fn assert_phase_spans(snap: &Json) {
+    let labels = span_labels(snap);
+    for phase in ["phase1.decompose", "phase2.stitch", "phase3.core"] {
+        assert!(
+            labels.iter().any(|l| l == phase),
+            "missing phase span {phase}: {labels:?}"
+        );
+    }
+}
+
+/// A fault-injected run's snapshot covers the three M2TD phases and the
+/// retry and thread telemetry (DESIGN.md §10).
+#[test]
+fn fault_injected_run_snapshot_has_phase_spans_retries_and_threads() {
+    let snap = run_metrics(
+        "metrics_faults",
+        &["--fault-rate", "0.2", "--fault-seed", "7"],
+    );
+    assert_phase_spans(&snap);
+    let counters = snap.require("counters").unwrap();
+    assert!(counters.get("sim.retries").is_some(), "{counters:?}");
+    let gauges = snap.require("gauges").unwrap();
+    assert!(gauges.get("threads.effective").is_some(), "{gauges:?}");
+}
+
+/// The multi-way run is the same M2TD algorithm, so it reports the same
+/// three phase spans.
+#[test]
+fn four_group_run_snapshot_has_the_phase_spans() {
+    assert_phase_spans(&run_metrics("metrics_groups", &["--groups", "4"]));
 }
 
 #[test]

@@ -57,37 +57,45 @@ fn energy_key(norm: f64) -> f64 {
 }
 
 /// `ROW_SELECT` (Algorithm 5): builds the output factor row-by-row, taking
-/// each row from whichever input matrix gives it more energy (2-norm).
+/// each row from whichever input matrix gives it the most energy (2-norm).
 ///
 /// Tie-breaking is explicit and deterministic: row norms are compared
-/// with NaN mapped to −∞, and on exact ties (including both-NaN) the row
-/// comes from `u1`. The former `>=` comparison silently picked `u2`
-/// whenever `u1`'s norm was NaN — a poisoned row displacing a finite one.
+/// with NaN mapped to −∞, and on exact ties (including all-NaN) the row
+/// comes from the earliest input. A `>=` comparison would silently let a
+/// poisoned row displace a finite one, and a `max_by` would hand ties to
+/// the last input.
 ///
 /// # Errors
 ///
-/// [`CoreError::InvalidInput`] if the matrices' shapes differ.
-pub fn row_select(u1: &Matrix, u2: &Matrix) -> Result<Matrix> {
-    if u1.shape() != u2.shape() {
+/// [`CoreError::InvalidInput`] if no matrix is given or their shapes
+/// differ.
+pub fn row_select(factors: &[&Matrix]) -> Result<Matrix> {
+    let Some(&first) = factors.first() else {
+        return Err(CoreError::InvalidInput {
+            reason: "row_select needs at least one matrix".to_string(),
+        });
+    };
+    if let Some(u) = factors.iter().find(|u| u.shape() != first.shape()) {
         return Err(CoreError::InvalidInput {
             reason: format!(
                 "row_select requires equal shapes, got {:?} and {:?}",
-                u1.shape(),
-                u2.shape()
+                first.shape(),
+                u.shape()
             ),
         });
     }
-    let mut out = Matrix::zeros(u1.rows(), u1.cols());
-    for i in 0..u1.rows() {
-        let n1 = energy_key(u1.row_norm(i));
-        let n2 = energy_key(u2.row_norm(i));
-        // `u1` wins ties: total_cmp makes every case (incl. ±∞) ordered.
-        let src = if n1.total_cmp(&n2) != std::cmp::Ordering::Less {
-            u1.row(i)
-        } else {
-            u2.row(i)
-        };
-        out.row_mut(i).copy_from_slice(src);
+    let mut out = Matrix::zeros(first.rows(), first.cols());
+    for i in 0..first.rows() {
+        let mut best = (first, energy_key(first.row_norm(i)));
+        for &u in &factors[1..] {
+            let key = energy_key(u.row_norm(i));
+            // Strictly greater only: the earlier input wins ties, and
+            // total_cmp orders every case (incl. ±∞).
+            if key.total_cmp(&best.1) == std::cmp::Ordering::Greater {
+                best = (u, key);
+            }
+        }
+        out.row_mut(i).copy_from_slice(best.0.row(i));
     }
     Ok(out)
 }
@@ -132,33 +140,57 @@ pub fn align_signs(u1: &Matrix, u2: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
-/// Combines one pivot mode's information from the two sub-tensors into a
+/// Combines one pivot mode's information from `S ≥ 2` sub-tensors into a
 /// single `I_n × r` factor matrix.
 ///
-/// `gram1`/`gram2` are the mode's Gram matrices `X₍ₙ₎X₍ₙ₎ᵀ` from the two
-/// sub-tensors; `u1`/`u2` are the corresponding `r`-leading eigenvector
-/// factors (already computed by the caller, who also needs them for the
-/// free modes' bookkeeping).
+/// `grams` are the mode's Gram matrices `X₍ₙ₎X₍ₙ₎ᵀ` from the sub-tensors;
+/// `bases` are the corresponding `r`-leading eigenvector factors. AVG and
+/// SELECT first orient every basis against the first one
+/// ([`align_signs`]); AVG then takes their mean, SELECT runs
+/// [`row_select`], and CONCAT diagonalizes the summed Grams.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidInput`] for fewer than two inputs or mismatched
+/// shapes; propagated linalg and guard errors.
 pub fn combine_pivot_factor(
     kind: PivotCombine,
-    gram1: &Matrix,
-    gram2: &Matrix,
-    u1: &Matrix,
-    u2: &Matrix,
+    grams: &[&Matrix],
+    bases: &[Matrix],
     r: usize,
 ) -> Result<Matrix> {
+    if bases.len() < 2 || grams.len() != bases.len() {
+        return Err(CoreError::InvalidInput {
+            reason: format!(
+                "pivot combination needs at least 2 matching Grams and bases, got {} and {}",
+                grams.len(),
+                bases.len()
+            ),
+        });
+    }
+    let first = &bases[0];
     match kind {
         PivotCombine::Average => {
-            let u2_aligned = align_signs(u1, u2)?;
-            Ok(u1.average(&u2_aligned)?)
+            let mut sum = first.clone();
+            for u in &bases[1..] {
+                sum = sum.add(&align_signs(first, u)?)?;
+            }
+            Ok(sum.scaled(1.0 / bases.len() as f64))
         }
         PivotCombine::Concat => {
-            let summed = gram1.add(gram2)?;
-            Ok(m2td_guard::gram_factor("phase1.combine", None, &summed, r)?)
+            let mut sum = grams[0].clone();
+            for g in &grams[1..] {
+                sum = sum.add(g)?;
+            }
+            Ok(m2td_guard::gram_factor("phase1.combine", None, &sum, r)?)
         }
         PivotCombine::Select => {
-            let u2_aligned = align_signs(u1, u2)?;
-            row_select(u1, &u2_aligned)
+            let aligned = bases[1..]
+                .iter()
+                .map(|u| align_signs(first, u))
+                .collect::<Result<Vec<_>>>()?;
+            let rows: Vec<&Matrix> = std::iter::once(first).chain(&aligned).collect();
+            row_select(&rows)
         }
     }
 }
@@ -171,7 +203,7 @@ mod tests {
     fn row_select_picks_higher_energy_rows() {
         let u1 = Matrix::from_rows(&[&[3.0, 4.0], &[0.1, 0.0]]).unwrap(); // norms 5, 0.1
         let u2 = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]).unwrap(); // norms 1, 2
-        let u = row_select(&u1, &u2).unwrap();
+        let u = row_select(&[&u1, &u2]).unwrap();
         assert_eq!(u.row(0), &[3.0, 4.0]);
         assert_eq!(u.row(1), &[0.0, 2.0]);
     }
@@ -180,7 +212,7 @@ mod tests {
     fn row_select_tie_prefers_first() {
         let u1 = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
         let u2 = Matrix::from_rows(&[&[0.0, 1.0]]).unwrap();
-        let u = row_select(&u1, &u2).unwrap();
+        let u = row_select(&[&u1, &u2]).unwrap();
         assert_eq!(u.row(0), &[1.0, 0.0]);
     }
 
@@ -192,10 +224,10 @@ mod tests {
         // by accident of operand order. Pin both directions: NaN = −∞.
         let u1 = Matrix::from_rows(&[&[f64::NAN, 1.0]]).unwrap();
         let u2 = Matrix::from_rows(&[&[0.5, 0.0]]).unwrap();
-        let u = row_select(&u1, &u2).unwrap();
+        let u = row_select(&[&u1, &u2]).unwrap();
         assert_eq!(u.row(0), &[0.5, 0.0], "NaN row in u1 must lose");
 
-        let u = row_select(&u2, &u1).unwrap();
+        let u = row_select(&[&u2, &u1]).unwrap();
         assert_eq!(u.row(0), &[0.5, 0.0], "NaN row in u2 must lose");
     }
 
@@ -203,7 +235,7 @@ mod tests {
     fn row_select_both_nan_prefers_first() {
         let u1 = Matrix::from_rows(&[&[f64::NAN, 2.0]]).unwrap();
         let u2 = Matrix::from_rows(&[&[3.0, f64::NAN]]).unwrap();
-        let u = row_select(&u1, &u2).unwrap();
+        let u = row_select(&[&u1, &u2]).unwrap();
         // Both norms are NaN → both keys are −∞ → tie → u1 wins.
         assert!(u.get(0, 0).is_nan());
         assert_eq!(u.get(0, 1), 2.0);
@@ -243,14 +275,14 @@ mod tests {
     fn row_select_shape_mismatch() {
         let u1 = Matrix::zeros(2, 2);
         let u2 = Matrix::zeros(3, 2);
-        assert!(row_select(&u1, &u2).is_err());
+        assert!(row_select(&[&u1, &u2]).is_err());
     }
 
     #[test]
     fn row_select_output_rows_come_from_inputs() {
         let u1 = Matrix::from_fn(5, 3, |i, j| ((i * 3 + j) as f64).sin());
         let u2 = Matrix::from_fn(5, 3, |i, j| ((i + j) as f64).cos());
-        let u = row_select(&u1, &u2).unwrap();
+        let u = row_select(&[&u1, &u2]).unwrap();
         for i in 0..5 {
             let is_u1 = u.row(i) == u1.row(i);
             let is_u2 = u.row(i) == u2.row(i);
@@ -266,7 +298,7 @@ mod tests {
         let u1 = Matrix::from_rows(&[&[2.0, 0.0]]).unwrap();
         let u2 = Matrix::from_rows(&[&[0.0, 2.0]]).unwrap();
         let g = Matrix::identity(1);
-        let u = combine_pivot_factor(PivotCombine::Average, &g, &g, &u1, &u2, 2).unwrap();
+        let u = combine_pivot_factor(PivotCombine::Average, &[&g, &g], &[u1, u2], 2).unwrap();
         assert_eq!(u.row(0), &[1.0, 1.0]);
     }
 
@@ -276,9 +308,8 @@ mod tests {
         // eigenvectors are the coordinate axes, strongest first.
         let g1 = Matrix::from_rows(&[&[4.0, 0.0], &[0.0, 0.0]]).unwrap();
         let g2 = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0]]).unwrap();
-        let u_dummy = Matrix::zeros(2, 2);
-        let u =
-            combine_pivot_factor(PivotCombine::Concat, &g1, &g2, &u_dummy, &u_dummy, 2).unwrap();
+        let dummy = [Matrix::zeros(2, 2), Matrix::zeros(2, 2)];
+        let u = combine_pivot_factor(PivotCombine::Concat, &[&g1, &g2], &dummy, 2).unwrap();
         assert!((u.get(0, 0).abs() - 1.0).abs() < 1e-12);
         assert!((u.get(1, 1).abs() - 1.0).abs() < 1e-12);
         assert!(u.get(1, 0).abs() < 1e-12);
@@ -290,9 +321,45 @@ mod tests {
         let b = Matrix::from_fn(4, 7, |i, j| ((i + 3 * j) as f64).cos());
         let g1 = a.gram_rows();
         let g2 = b.gram_rows();
-        let dummy = Matrix::zeros(4, 3);
-        let u = combine_pivot_factor(PivotCombine::Concat, &g1, &g2, &dummy, &dummy, 3).unwrap();
+        let dummy = [Matrix::zeros(4, 3), Matrix::zeros(4, 3)];
+        let u = combine_pivot_factor(PivotCombine::Concat, &[&g1, &g2], &dummy, 3).unwrap();
         assert!(u.orthonormality_defect() < 1e-9);
+    }
+
+    #[test]
+    fn three_way_select_keeps_the_first_tied_row_and_never_a_nan_row() {
+        // Row 0: u1 and u3 tie for the most energy, so u1 (the first) must
+        // win. Row 1: u3's row is NaN and must lose to u2's finite one.
+        // Every column dot with u1 is positive, so alignment flips nothing.
+        let u1 = Matrix::from_rows(&[&[3.0, 4.0], &[0.1, 0.1]]).unwrap();
+        let u2 = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 1.0]]).unwrap();
+        let u3 = Matrix::from_rows(&[&[4.0, 3.0], &[f64::NAN, 5.0]]).unwrap();
+        let g = Matrix::identity(2);
+        let u =
+            combine_pivot_factor(PivotCombine::Select, &[&g, &g, &g], &[u1, u2, u3], 2).unwrap();
+        assert_eq!(u.row(0), &[3.0, 4.0], "tie must go to the first factor");
+        assert_eq!(u.row(1), &[2.0, 1.0], "a NaN row must never win");
+    }
+
+    #[test]
+    fn three_way_average_is_the_mean_of_aligned_bases() {
+        let u1 = Matrix::from_rows(&[&[3.0], &[0.0]]).unwrap();
+        let u2 = Matrix::from_rows(&[&[-3.0], &[0.0]]).unwrap(); // flipped
+        let u3 = Matrix::from_rows(&[&[0.0], &[3.0]]).unwrap(); // orthogonal: kept
+        let g = Matrix::identity(2);
+        let u =
+            combine_pivot_factor(PivotCombine::Average, &[&g, &g, &g], &[u1, u2, u3], 1).unwrap();
+        assert!((u.get(0, 0) - 2.0).abs() < 1e-15 && (u.get(1, 0) - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn combination_needs_two_matching_inputs() {
+        let g = Matrix::identity(2);
+        let u = Matrix::identity(2);
+        for kind in PivotCombine::all() {
+            assert!(combine_pivot_factor(kind, &[&g], std::slice::from_ref(&u), 2).is_err());
+            assert!(combine_pivot_factor(kind, &[&g], &[u.clone(), u.clone()], 2).is_err());
+        }
     }
 
     #[test]

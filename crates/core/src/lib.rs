@@ -27,15 +27,15 @@ pub mod analysis;
 mod combine;
 mod error;
 mod m2td;
-mod multiway;
 pub mod pipeline;
 
 pub use combine::{align_signs, combine_pivot_factor, row_select, PivotCombine};
 pub use error::CoreError;
 pub use m2td::{
-    m2td_decompose, projection_factors, CoreProjection, M2tdDecomposition, M2tdOptions, M2tdTimings,
+    assemble_factors, check_join, free_offsets, m2td_decompose, m2td_decompose_multi, phase1_side,
+    projection_factors, recover_core, validate_inputs, CoreProjection, M2tdDecomposition,
+    M2tdOptions, M2tdTimings,
 };
-pub use multiway::m2td_decompose_multi;
 pub use pipeline::{DegradedStats, RunReport, SimFaultPolicy, Workbench, WorkbenchConfig};
 
 /// Result alias used across the crate.

@@ -1,10 +1,13 @@
-//! The M2TD decomposition (Algorithms 2–4 of the paper).
+//! The M2TD decomposition (Algorithms 2–4 of the paper): one body over
+//! `S ≥ 2` sub-tensors, built from per-phase kernels that the serial run
+//! and D-M2TD's reducers share.
 
 use crate::combine::{combine_pivot_factor, PivotCombine};
 use crate::error::CoreError;
 use crate::Result;
-use m2td_stitch::{stitch, StitchKind, StitchReport};
-use m2td_tensor::{CoreOrdering, SparseTensor, TtmPlan, TuckerDecomp, Workspace};
+use m2td_linalg::Matrix;
+use m2td_stitch::{stitch_multi, StitchKind, StitchReport};
+use m2td_tensor::{sparse_core, CoreOrdering, DenseTensor, SparseTensor, TuckerDecomp};
 use std::time::Instant;
 
 /// How the core tensor is recovered from the join tensor and the factors.
@@ -67,7 +70,7 @@ impl M2tdTimings {
 }
 
 /// The result of an M2TD decomposition: a Tucker decomposition of the join
-/// tensor (modes in join order `[pivot…, free₁…, free₂…]`) plus stitch
+/// tensor (modes in join order `[pivot…, free₁…, …, free_S…]`) plus stitch
 /// statistics and phase timings.
 #[derive(Debug, Clone)]
 pub struct M2tdDecomposition {
@@ -84,7 +87,8 @@ pub struct M2tdDecomposition {
     pub guard: Option<m2td_guard::GuardVerdict>,
 }
 
-/// Runs M2TD over two PF-partitioned sub-ensemble tensors.
+/// Runs M2TD over two PF-partitioned sub-ensemble tensors: the `S = 2`
+/// instance of [`m2td_decompose_multi`].
 ///
 /// * `x1`, `x2` — sub-tensors in sub-tensor mode order (first `k` modes are
 ///   the shared pivots).
@@ -120,10 +124,7 @@ pub struct M2tdDecomposition {
 ///
 /// # Errors
 ///
-/// * [`CoreError::InvalidInput`] for structural mismatches (wrong rank
-///   count, rank exceeding a mode size, bad `k`).
-/// * Propagated stitch/tensor/linalg errors.
-#[allow(clippy::needless_range_loop)] // free-mode loops index `ranks` with offset arithmetic
+/// As for [`m2td_decompose_multi`].
 pub fn m2td_decompose(
     x1: &SparseTensor,
     x2: &SparseTensor,
@@ -131,147 +132,61 @@ pub fn m2td_decompose(
     ranks: &[usize],
     opts: M2tdOptions,
 ) -> Result<M2tdDecomposition> {
-    let m1 = x1.order();
-    let m2 = x2.order();
-    if k == 0 || k >= m1 || k >= m2 {
-        return Err(CoreError::InvalidInput {
-            reason: format!("pivot count {k} invalid for sub-tensor orders {m1}, {m2}"),
-        });
-    }
-    let join_order = k + (m1 - k) + (m2 - k);
-    if ranks.len() != join_order {
-        return Err(CoreError::InvalidInput {
-            reason: format!(
-                "{} ranks supplied for a join tensor of order {join_order}",
-                ranks.len()
-            ),
-        });
-    }
-    // Join-order mode extents, for rank validation.
-    let mut join_dims: Vec<usize> = x1.dims()[..k].to_vec();
-    join_dims.extend_from_slice(&x1.dims()[k..]);
-    join_dims.extend_from_slice(&x2.dims()[k..]);
-    for (n, (&r, &d)) in ranks.iter().zip(join_dims.iter()).enumerate() {
-        if r == 0 || r > d {
-            return Err(CoreError::InvalidInput {
-                reason: format!("rank {r} invalid for join mode {n} of extent {d}"),
-            });
-        }
-    }
+    m2td_decompose_multi(&[x1, x2], k, ranks, opts)
+}
 
-    // Phase-boundary sentinel: reject poisoned inputs before any phase
-    // runs (no-ops while m2td-guard is uninstalled).
-    m2td_guard::check_cells("phase1.x1", x1.iter())?;
-    m2td_guard::check_cells("phase1.x2", x2.iter())?;
+/// Runs M2TD over `S ≥ 2` sub-tensors sharing their first `k` (pivot)
+/// modes. `ranks` is given in join order (`k + Σ_s (order(X_s) − k)`
+/// entries). With `S > 2` this extends the paper's two-task formulation:
+/// pivot factors are combined across all `S` sub-tensor decompositions,
+/// and the join tensor averages `S` sources per cell.
+///
+/// The body is the four per-phase kernels that `m2td_dist::DistJob`'s
+/// reducers also call: [`validate_inputs`], [`phase1_side`] (the `S`
+/// sides run concurrently on the `m2td-par` pool, the single-node
+/// analogue of D-M2TD phase 1), [`assemble_factors`] and [`recover_core`].
+/// Span labels are shared with `DistJob::run` too, so telemetry consumers
+/// see one taxonomy whichever schedule ran.
+///
+/// # Errors
+///
+/// * [`CoreError::InvalidInput`] for structural mismatches (fewer than two
+///   sub-tensors, bad `k`, wrong rank count, a rank of 0 or above its
+///   mode's extent) and for an empty join tensor.
+/// * Guard errors from the phase-boundary sentinels, and propagated
+///   stitch/tensor/linalg errors.
+pub fn m2td_decompose_multi(
+    subs: &[&SparseTensor],
+    k: usize,
+    ranks: &[usize],
+    opts: M2tdOptions,
+) -> Result<M2tdDecomposition> {
+    validate_inputs(subs, k, ranks)?;
 
     // ---- Phase 1: sub-tensor decompositions + pivot combination --------
-    // The X₁ side (pivot grams/bases + X₁ free factors) and the X₂ side
-    // are independent by construction, so they run concurrently on the
-    // `m2td-par` pool — the single-node analogue of D-M2TD Phase 1. Each
-    // side computes the same grams in the same order as the serial loop,
-    // so results are bitwise unchanged.
-    //
-    // Span labels are shared with `m2td_dist::DistJob::run`: the phases
-    // correspond one-to-one, so telemetry consumers see one taxonomy.
     let span1 = m2td_obs::span!("phase1.decompose");
     let t1 = Instant::now();
-    type PivotSide = (
-        Vec<(m2td_linalg::Matrix, m2td_linalg::Matrix)>,
-        Vec<m2td_linalg::Matrix>,
-    );
-    let (side1, side2): (Result<PivotSide>, Result<PivotSide>) = m2td_par::join(
-        || {
-            let mut pivot = Vec::with_capacity(k);
-            for n in 0..k {
-                let gram1 = m2td_tensor::phase_gram(x1, n)?;
-                let u1 = leading(&gram1, ranks[n], n)?;
-                pivot.push((gram1, u1));
-            }
-            let mut free = Vec::with_capacity(m1 - k);
-            for n in k..m1 {
-                let gram = m2td_tensor::phase_gram(x1, n)?;
-                free.push(leading(&gram, ranks[n], n)?);
-            }
-            Ok((pivot, free))
-        },
-        || {
-            let mut pivot = Vec::with_capacity(k);
-            for n in 0..k {
-                let gram2 = m2td_tensor::phase_gram(x2, n)?;
-                let u2 = leading(&gram2, ranks[n], n)?;
-                pivot.push((gram2, u2));
-            }
-            let mut free = Vec::with_capacity(m2 - k);
-            for n in k..m2 {
-                let join_mode = k + (m1 - k) + (n - k);
-                let gram = m2td_tensor::phase_gram(x2, n)?;
-                free.push(leading(&gram, ranks[join_mode], join_mode)?);
-            }
-            Ok((pivot, free))
-        },
-    );
-    let (pivot1, free1) = side1?;
-    let (pivot2, free2) = side2?;
-    let mut factors = Vec::with_capacity(join_order);
-    for ((gram1, u1), (gram2, u2)) in pivot1.iter().zip(pivot2.iter()) {
-        // The guard's ClampRank policy may have truncated one side's
-        // pivot basis; combination needs equal widths, so harmonize both
-        // sides to the narrower one.
-        let width = u1.cols().min(u2.cols());
-        factors.push(combine_pivot_factor(
-            opts.combine,
-            gram1,
-            gram2,
-            &u1.leading_columns(width)?,
-            &u2.leading_columns(width)?,
-            width,
-        )?);
-    }
-    factors.extend(free1);
-    factors.extend(free2);
-    // Phase-1 boundary sentinel: combined factors are the phase output.
-    for (n, f) in factors.iter().enumerate() {
-        m2td_guard::check_matrix("phase1.factor", Some(n), f)?;
-    }
+    let sides: Vec<(&SparseTensor, usize)> =
+        subs.iter().copied().zip(free_offsets(subs, k)).collect();
+    let sides = m2td_par::par_map(&sides, |&(x, offset)| phase1_side(x, k, ranks, offset))
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
+    let factors = assemble_factors(opts.combine, sides, k)?;
     let phase1 = t1.elapsed().as_secs_f64();
     drop(span1);
 
     // ---- Phase 2: JE-stitching ------------------------------------------
     let span2 = m2td_obs::span!("phase2.stitch");
     let t2 = Instant::now();
-    let (join, stitch_report) = stitch(x1, x2, k, opts.stitch)?;
-    // Phase-2 boundary sentinel: a poisoned join cell must not reach core
-    // recovery.
-    m2td_guard::check_cells("phase2.join", join.iter())?;
+    let (join, stitch_report) = stitch_multi(subs, k, opts.stitch)?;
+    check_join(&join)?;
     let phase2 = t2.elapsed().as_secs_f64();
     drop(span2);
 
     // ---- Phase 3: core recovery -----------------------------------------
     let _span3 = m2td_obs::span!("phase3.core");
     let t3 = Instant::now();
-    if join.nnz() == 0 {
-        return Err(CoreError::InvalidInput {
-            reason: "join tensor is empty: the sub-ensembles share no pivot configuration"
-                .to_string(),
-        });
-    }
-    // Plan the TTM chain once for the join shape (compression-ratio
-    // ordering, semi-sparse execution) and run it with a workspace so the
-    // chain's unfold/product/fold buffers are reused across steps. Sized
-    // off the *actual* factor widths, which the guard's ClampRank policy
-    // may have shrunk below the requested ranks.
-    let widths: Vec<usize> = factors.iter().map(|f| f.cols()).collect();
-    let chain_plan = TtmPlan::with_ordering(join.dims(), &widths, opts.ordering)?;
-    let mut ws = Workspace::new();
-    let core = match opts.projection {
-        CoreProjection::Transpose => chain_plan.execute_sparse(&join, &factors, &mut ws)?,
-        CoreProjection::LeastSquares => {
-            // G = J ×ₙ Uⁿ⁺ — realized by replacing each factor U with
-            // W = U (UᵀU)⁻¹, since Wᵀ = (UᵀU)⁻¹Uᵀ = U⁺.
-            let ls_factors = projection_factors(&factors, opts.projection)?;
-            chain_plan.execute_sparse(&join, &ls_factors, &mut ws)?
-        }
-    };
+    let core = recover_core(&join, &factors, opts)?;
     let phase3 = t3.elapsed().as_secs_f64();
     // Phase-3 boundary sentinel: the recovered core is the run's output;
     // a non-finite entry here is exactly the "silent garbage core" the
@@ -290,6 +205,177 @@ pub fn m2td_decompose(
         },
         guard,
     })
+}
+
+/// Input kernel: checks that there are at least two sub-tensors, that
+/// `0 < k < order` for each, that `ranks` has one entry per join mode and
+/// that `0 < r ≤ extent` for every join mode, then runs the phase-1 input
+/// sentinel over each sub-tensor (a no-op while `m2td-guard` is
+/// uninstalled).
+///
+/// # Errors
+///
+/// [`CoreError::InvalidInput`] for a structural mismatch; a guard error
+/// for a poisoned input cell.
+pub fn validate_inputs(subs: &[&SparseTensor], k: usize, ranks: &[usize]) -> Result<()> {
+    let invalid = |reason: String| Err(CoreError::InvalidInput { reason });
+    if subs.len() < 2 {
+        return invalid(format!("need at least 2 sub-tensors, got {}", subs.len()));
+    }
+    let orders: Vec<usize> = subs.iter().map(|x| x.order()).collect();
+    if orders.iter().any(|&m| k == 0 || k >= m) {
+        return invalid(format!(
+            "pivot count {k} invalid for sub-tensor orders {orders:?}"
+        ));
+    }
+    let join_dims: Vec<usize> = subs[0].dims()[..k]
+        .iter()
+        .chain(subs.iter().flat_map(|x| &x.dims()[k..]))
+        .copied()
+        .collect();
+    if ranks.len() != join_dims.len() {
+        return invalid(format!(
+            "{} ranks supplied for a join tensor of order {}",
+            ranks.len(),
+            join_dims.len()
+        ));
+    }
+    for (n, (&r, &d)) in ranks.iter().zip(&join_dims).enumerate() {
+        if r == 0 || r > d {
+            return invalid(format!("rank {r} invalid for join mode {n} of extent {d}"));
+        }
+    }
+    // Phase-boundary sentinel: reject poisoned inputs before any phase
+    // runs.
+    const SITES: [&str; 8] = [
+        "phase1.x1",
+        "phase1.x2",
+        "phase1.x3",
+        "phase1.x4",
+        "phase1.x5",
+        "phase1.x6",
+        "phase1.x7",
+        "phase1.x8",
+    ];
+    for (s, x) in subs.iter().enumerate() {
+        m2td_guard::check_cells(SITES.get(s).unwrap_or(&"phase1.x"), x.iter())?;
+    }
+    Ok(())
+}
+
+/// The join mode of each sub-tensor's first free mode: the free modes
+/// follow the `k` pivots, sub-tensor by sub-tensor.
+pub fn free_offsets(subs: &[&SparseTensor], k: usize) -> Vec<usize> {
+    subs.iter()
+        .scan(k, |next, x| {
+            let offset = *next;
+            *next += x.order() - k;
+            Some(offset)
+        })
+        .collect()
+}
+
+/// Phase-1 kernel for one sub-tensor `x`: the mode Gram and its guarded
+/// leading eigenvectors for every mode, labelled and ranked by join mode
+/// (`offset` is the join mode of `x`'s first free mode, see
+/// [`free_offsets`]). Returns `(pivot Grams, factors)`: the Grams of the
+/// `k` pivot modes, which CONCAT combines, and one factor per mode of `x`.
+///
+/// # Errors
+///
+/// Propagated tensor and guard errors.
+pub fn phase1_side(
+    x: &SparseTensor,
+    k: usize,
+    ranks: &[usize],
+    offset: usize,
+) -> Result<(Vec<Matrix>, Vec<Matrix>)> {
+    let mut grams = Vec::with_capacity(k);
+    let mut factors = Vec::with_capacity(x.order());
+    for n in 0..x.order() {
+        let join_mode = if n < k { n } else { offset + n - k };
+        let gram = m2td_tensor::phase_gram(x, n)?;
+        factors.push(m2td_guard::gram_factor(
+            "phase1.factor",
+            Some(join_mode),
+            &gram,
+            ranks[join_mode],
+        )?);
+        if n < k {
+            grams.push(gram);
+        }
+    }
+    Ok((grams, factors))
+}
+
+/// Factor-assembly kernel: combines each pivot mode's factors across the
+/// [`phase1_side`] outputs, appends every side's free factors in join
+/// order, and runs the phase-1 boundary sentinel over the result.
+///
+/// The guard's ClampRank policy may have truncated a side's pivot basis;
+/// combination needs equal widths, so every side is harmonized to the
+/// narrowest one first.
+///
+/// # Errors
+///
+/// Propagated combination and guard errors.
+pub fn assemble_factors(
+    combine: PivotCombine,
+    sides: Vec<(Vec<Matrix>, Vec<Matrix>)>,
+    k: usize,
+) -> Result<Vec<Matrix>> {
+    let mut factors = Vec::with_capacity(k);
+    for n in 0..k {
+        let width = sides.iter().map(|(_, f)| f[n].cols()).min().unwrap_or(0);
+        let grams: Vec<&Matrix> = sides.iter().map(|(g, _)| &g[n]).collect();
+        let bases = sides
+            .iter()
+            .map(|(_, f)| f[n].leading_columns(width))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        factors.push(combine_pivot_factor(combine, &grams, &bases, width)?);
+    }
+    for (_, mut side) in sides {
+        factors.extend(side.drain(k..));
+    }
+    for (n, f) in factors.iter().enumerate() {
+        m2td_guard::check_matrix("phase1.factor", Some(n), f)?;
+    }
+    Ok(factors)
+}
+
+/// Phase-2 boundary: the sentinel over the join cells (a poisoned cell
+/// must not reach core recovery) and the refusal of an empty join.
+///
+/// # Errors
+///
+/// A guard error, or [`CoreError::InvalidInput`] when the sub-ensembles
+/// share no pivot configuration.
+pub fn check_join(join: &SparseTensor) -> Result<()> {
+    m2td_guard::check_cells("phase2.join", join.iter())?;
+    if join.nnz() == 0 {
+        return Err(CoreError::InvalidInput {
+            reason: "join tensor is empty: the sub-ensembles share no pivot configuration"
+                .to_string(),
+        });
+    }
+    Ok(())
+}
+
+/// Core-recovery kernel: `G = J ×ₙ Wⁿᵀ` over the join tensor (or, in
+/// D-M2TD, one chunk of its cells — TTM is linear in the tensor), with
+/// `W` the [`projection_factors`] of `factors` and the TTM chain planned
+/// in `opts.ordering`.
+///
+/// # Errors
+///
+/// Propagated tensor and linalg errors.
+pub fn recover_core(
+    join: &SparseTensor,
+    factors: &[Matrix],
+    opts: M2tdOptions,
+) -> Result<DenseTensor> {
+    let projected = projection_factors(factors, opts.projection)?;
+    Ok(sparse_core(join, &projected, opts.ordering)?)
 }
 
 /// End-to-end acceptance check: relative reconstruction error of the
@@ -319,29 +405,14 @@ fn acceptance_verdict(
     Ok(m2td_guard::budget_verdict(relative_error))
 }
 
-/// Leading-`r` eigenvectors of a Gram matrix for join mode `join_mode`,
-/// routed through the numerical guard layer (spectrum checks and policy
-/// repairs when `m2td-guard` is installed; a plain eig + truncation
-/// otherwise).
-fn leading(gram: &m2td_linalg::Matrix, r: usize, join_mode: usize) -> Result<m2td_linalg::Matrix> {
-    Ok(m2td_guard::gram_factor(
-        "phase1.factor",
-        Some(join_mode),
-        gram,
-        r,
-    )?)
-}
-
 /// Applies the configured core projection to a factor list: returns the
 /// matrices whose transposes should multiply the join tensor when
 /// recovering the core. Identity for [`CoreProjection::Transpose`];
 /// pseudo-inverse-inducing transform for [`CoreProjection::LeastSquares`].
 ///
-/// Shared between the serial implementation here and `m2td_dist::d_m2td`.
-pub fn projection_factors(
-    factors: &[m2td_linalg::Matrix],
-    projection: CoreProjection,
-) -> Result<Vec<m2td_linalg::Matrix>> {
+/// [`recover_core`] applies it to every join tensor or chunk; D-M2TD's
+/// mode-shuffle phase 3 applies it once to its per-mode jobs' factors.
+pub fn projection_factors(factors: &[Matrix], projection: CoreProjection) -> Result<Vec<Matrix>> {
     match projection {
         CoreProjection::Transpose => Ok(factors.to_vec()),
         CoreProjection::LeastSquares => factors.iter().map(ls_projection_factor).collect(),
@@ -354,7 +425,7 @@ pub fn projection_factors(
 /// is nearly rank-deficient. With `m2td-guard` installed under
 /// `Regularize(λ)`, the configured `λ` replaces the built-in `1e-12` —
 /// this solve is where that policy's ridge actually lands.
-fn ls_projection_factor(u: &m2td_linalg::Matrix) -> Result<m2td_linalg::Matrix> {
+fn ls_projection_factor(u: &Matrix) -> Result<Matrix> {
     let r = u.cols();
     let ridge = m2td_guard::ridge_lambda().unwrap_or(1e-12);
     let mut gram = u.transpose_matmul(u)?;
@@ -365,7 +436,7 @@ fn ls_projection_factor(u: &m2td_linalg::Matrix) -> Result<m2td_linalg::Matrix> 
     // (UᵀU) w_i = u_i where u_i is the i-th row of U. The Gram is factored
     // once and every row reuses the factor.
     let factor = m2td_linalg::cholesky(&gram)?;
-    let mut w = m2td_linalg::Matrix::zeros(u.rows(), r);
+    let mut w = Matrix::zeros(u.rows(), r);
     for i in 0..u.rows() {
         let sol = factor.solve(u.row(i))?;
         w.row_mut(i).copy_from_slice(&sol);
@@ -376,7 +447,7 @@ fn ls_projection_factor(u: &m2td_linalg::Matrix) -> Result<m2td_linalg::Matrix> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m2td_tensor::{DenseTensor, Shape};
+    use m2td_tensor::Shape;
 
     /// Builds two fully dense sub-tensors sampled from a smooth function of
     /// the *underlying* 3-parameter system (pivot p, free a, free b), with
@@ -515,5 +586,87 @@ mod tests {
         let d = m2td_decompose(&x1, &x2, 1, &[2, 2, 2], opts).unwrap();
         assert!(d.stitch_report.join_nnz > 0);
         assert!(d.tucker.core.frobenius_norm() > 0.0);
+    }
+
+    fn full(dims: &[usize], f: impl Fn(&[usize]) -> f64) -> SparseTensor {
+        let shape = Shape::new(dims);
+        let entries: Vec<(Vec<usize>, f64)> = (0..shape.num_elements())
+            .map(|l| {
+                let idx = shape.multi_index(l);
+                let v = f(&idx);
+                (idx, v)
+            })
+            .collect();
+        SparseTensor::from_entries(dims, &entries).unwrap()
+    }
+
+    fn value(p: usize, a: usize, b: usize, c: usize) -> f64 {
+        ((p as f64) * 0.6).sin() * ((a + 1) as f64) + ((b * c) as f64) * 0.1 + (c as f64) * 0.3
+    }
+
+    #[test]
+    fn two_way_multi_matches_pairwise_m2td() {
+        let x1 = full(&[5, 4], |i| value(i[0], i[1], 2, 2));
+        let x2 = full(&[5, 4], |i| value(i[0], 2, i[1], 2));
+        let ranks = [3, 3, 3];
+        for combine in PivotCombine::all() {
+            let opts = M2tdOptions {
+                combine,
+                ..M2tdOptions::default()
+            };
+            let pair = m2td_decompose(&x1, &x2, 1, &ranks, opts).unwrap();
+            let multi = m2td_decompose_multi(&[&x1, &x2], 1, &ranks, opts).unwrap();
+            let d = pair
+                .tucker
+                .core
+                .sub(&multi.tucker.core)
+                .unwrap()
+                .frobenius_norm();
+            assert!(d < 1e-9, "{}: core diff {d}", combine.name());
+        }
+    }
+
+    #[test]
+    fn three_way_decomposition_runs_and_reconstructs() {
+        let x1 = full(&[5, 3], |i| value(i[0], i[1], 1, 1));
+        let x2 = full(&[5, 3], |i| value(i[0], 1, i[1], 1));
+        let x3 = full(&[5, 3], |i| value(i[0], 1, 1, i[1]));
+        let ranks = [2, 2, 2, 2];
+        for combine in PivotCombine::all() {
+            let opts = M2tdOptions {
+                combine,
+                ..M2tdOptions::default()
+            };
+            let d = m2td_decompose_multi(&[&x1, &x2, &x3], 1, &ranks, opts).unwrap();
+            assert_eq!(d.tucker.output_dims(), vec![5, 3, 3, 3]);
+            let recon = d.tucker.reconstruct().unwrap();
+            assert!(recon.frobenius_norm() > 0.0);
+            // Against the true join tensor.
+            let (join, _) =
+                stitch_multi(&[&x1, &x2, &x3], 1, m2td_stitch::StitchKind::Join).unwrap();
+            let dense_join = join.to_dense().unwrap();
+            let err =
+                recon.sub(&dense_join).unwrap().frobenius_norm() / dense_join.frobenius_norm();
+            assert!(err < 1.0, "{}: join fit {err}", combine.name());
+        }
+    }
+
+    #[test]
+    fn validation() {
+        let x = full(&[3, 3], |i| (i[0] + i[1]) as f64);
+        let opts = M2tdOptions::default();
+        assert!(m2td_decompose_multi(&[&x], 1, &[2, 2], opts).is_err());
+        assert!(m2td_decompose_multi(&[&x, &x], 0, &[2, 2, 2], opts).is_err());
+        assert!(m2td_decompose_multi(&[&x, &x], 1, &[2, 2], opts).is_err());
+        assert!(m2td_decompose_multi(&[&x, &x], 1, &[2, 9, 2], opts).is_err());
+    }
+
+    #[test]
+    fn disjoint_pivots_error() {
+        let x1 = SparseTensor::from_entries(&[2, 2], &[(vec![0, 0], 1.0)]).unwrap();
+        let x2 = SparseTensor::from_entries(&[2, 2], &[(vec![1, 0], 1.0)]).unwrap();
+        let x3 = SparseTensor::from_entries(&[2, 2], &[(vec![0, 1], 1.0)]).unwrap();
+        let r = m2td_decompose_multi(&[&x1, &x2, &x3], 1, &[1, 1, 1, 1], M2tdOptions::default());
+        assert!(r.is_err());
     }
 }

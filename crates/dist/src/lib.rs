@@ -12,9 +12,12 @@
 //!   reproduces Table III's *shape* (phase-3 dominance, diminishing
 //!   returns in `W`) deterministically on one machine;
 //! * [`DistJob`] — the three phases themselves: parallel sub-tensor
-//!   decomposition, parallel JE-stitching, parallel core recovery. The
-//!   result matches the serial `m2td_core::m2td_decompose` to floating-
-//!   point accumulation order. [`d_m2td`] is its fault-free shorthand.
+//!   decomposition, parallel JE-stitching, parallel core recovery. Its
+//!   reducers call the per-phase kernels of the serial
+//!   `m2td_core::m2td_decompose`, so factors and join tensor equal the
+//!   serial ones bitwise at any worker count, and so does the core at one
+//!   worker; at `W` workers the core is the sum of `W` partial cores.
+//!   [`d_m2td`] is its fault-free shorthand.
 //!
 //! Fault tolerance (DESIGN.md §9): a [`DistJob`] with a [`FaultConfig`]
 //! runs the same dataflow under a seeded

@@ -6,8 +6,9 @@
 //! fixes everything else, so a finer partition (more, smaller groups)
 //! makes each sub-space exponentially smaller — the ensemble can reach
 //! full sub-space density with far fewer simulations, at the price of
-//! fixing more parameters per run. `m2td_core` stitches the resulting
-//! sub-ensembles with `m2td_stitch::stitch_multi`.
+//! fixing more parameters per run. `m2td_core::m2td_decompose_multi`
+//! decomposes the resulting sub-ensembles with the same kernels as the
+//! two-way run, stitching them with `m2td_stitch::stitch_multi`.
 
 use crate::error::SamplingError;
 use crate::Result;

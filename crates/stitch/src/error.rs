@@ -6,18 +6,23 @@ use std::fmt;
 /// Errors produced while stitching sub-ensembles.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StitchError {
-    /// `k` must satisfy `1 <= k < min(order(X1), order(X2))`.
+    /// A stitch needs at least two sub-tensors.
+    TooFewInputs {
+        /// The number supplied.
+        count: usize,
+    },
+    /// `k` must satisfy `1 <= k < order(X_s)` for every sub-tensor.
     InvalidPivotCount {
         /// The supplied `k`.
         k: usize,
-        /// Orders of the two sub-tensors.
-        orders: (usize, usize),
+        /// Orders of the sub-tensors.
+        orders: Vec<usize>,
     },
-    /// The two sub-tensors disagree on a pivot-mode extent.
+    /// A sub-tensor disagrees with `X1` on a pivot-mode extent.
     PivotDimMismatch {
         /// The offending pivot mode (sub-tensor position).
         mode: usize,
-        /// The two extents.
+        /// The extents in `X1` and in the offending sub-tensor.
         dims: (usize, usize),
     },
     /// An underlying tensor operation failed.
@@ -27,14 +32,16 @@ pub enum StitchError {
 impl fmt::Display for StitchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            StitchError::TooFewInputs { count } => {
+                write!(f, "stitching needs at least 2 sub-tensors, got {count}")
+            }
             StitchError::InvalidPivotCount { k, orders } => write!(
                 f,
-                "pivot count {k} invalid for sub-tensors of orders {} and {}",
-                orders.0, orders.1
+                "pivot count {k} invalid for sub-tensors of orders {orders:?}"
             ),
             StitchError::PivotDimMismatch { mode, dims } => write!(
                 f,
-                "pivot mode {mode} has extent {} in X1 but {} in X2",
+                "pivot mode {mode} has extent {} in X1 but {} in another sub-tensor",
                 dims.0, dims.1
             ),
             StitchError::Tensor(e) => write!(f, "tensor error: {e}"),

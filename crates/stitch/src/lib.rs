@@ -20,11 +20,9 @@
 
 mod error;
 mod join;
-mod multiway;
 
 pub use error::StitchError;
-pub use join::{stitch, StitchKind, StitchReport};
-pub use multiway::stitch_multi;
+pub use join::{stitch, stitch_multi, JoinLattice, PivotGroup, StitchKind, StitchReport};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, StitchError>;

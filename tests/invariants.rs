@@ -182,7 +182,7 @@ fn row_select_output_energy_dominates_inputs() {
         let cols = rng.gen_range(1usize..5);
         let u1 = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0));
         let u2 = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0));
-        let u = row_select(&u1, &u2).unwrap();
+        let u = row_select(&[&u1, &u2]).unwrap();
         for i in 0..rows {
             let expected = u1.row_norm(i).max(u2.row_norm(i));
             assert!((u.row_norm(i) - expected).abs() < 1e-12);
