@@ -491,12 +491,6 @@ impl Matrix {
         self.zip_with(other, "sub", |a, b| a - b)
     }
 
-    /// Elementwise average of two equally shaped matrices. This is the
-    /// pivot-factor combination of the paper's M2TD-AVG (Algorithm 2).
-    pub fn average(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "average", |a, b| 0.5 * (a + b))
-    }
-
     fn zip_with(
         &self,
         other: &Matrix,
@@ -810,10 +804,6 @@ mod tests {
         );
         assert_eq!(
             b.sub(&a).unwrap(),
-            Matrix::from_rows(&[&[2.0, 4.0]]).unwrap()
-        );
-        assert_eq!(
-            a.average(&b).unwrap(),
             Matrix::from_rows(&[&[2.0, 4.0]]).unwrap()
         );
         assert_eq!(a.scaled(2.0), Matrix::from_rows(&[&[2.0, 4.0]]).unwrap());
