@@ -2,7 +2,7 @@
 //! the deterministic `dist` and `serve` commands, the dead-letter-queue
 //! operator flow, crash recovery of `serve` at every kill-point stream,
 //! the metrics snapshot of a `run`, and rejection of flags a subcommand
-//! does not read.
+//! does not read; and the `tables` binary's argument handling.
 
 use m2td_json::Json;
 use std::path::PathBuf;
@@ -279,4 +279,55 @@ fn unknown_flags_exit_2_naming_the_flag() {
         assert_eq!(code, 2, "{args:?} must be rejected:\n{out}{err}");
         assert!(err.contains("unknown flag"), "{args:?}: {err}");
     }
+}
+
+/// Runs the `tables` binary with `args` in `cwd`.
+fn tables(cwd: &PathBuf, args: &[&str]) -> (i32, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(args)
+        .current_dir(cwd)
+        .output()
+        .expect("tables runs");
+    (
+        out.status.code().unwrap_or(-1),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn tables_rejects_what_it_does_not_read_and_writes_nothing() {
+    let dir = fresh_dir("tables_args");
+    for args in [
+        &["--bogus", "table3"][..],
+        &["--quik", "all"],
+        &["table9"],
+        &["check", "table3"],
+        &["--quick", "check"],
+    ] {
+        let (code, out, err) = tables(&dir, args);
+        assert_eq!(code, 2, "{args:?} must be rejected:\n{out}{err}");
+        assert!(err.contains("unknown argument"), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?} must do no work: {out}");
+    }
+    assert!(
+        !dir.join("results").exists(),
+        "a rejected run wrote results/"
+    );
+}
+
+#[test]
+fn tables_quick_prints_and_never_writes_results() {
+    let dir = fresh_dir("tables_quick");
+    let (code, out, err) = tables(&dir, &["--quick", "table3", "table5"]);
+    assert_eq!(code, 0, "--quick failed:\n{out}{err}");
+    assert!(
+        out.contains("== table3") && out.contains("== table5"),
+        "{out}"
+    );
+    assert!(
+        !out.contains("== table2a"),
+        "only the named plans run: {out}"
+    );
+    assert!(!dir.join("results").exists(), "--quick wrote results/");
 }

@@ -285,6 +285,14 @@ impl<'a> Workbench<'a> {
         self
     }
 
+    /// Returns the same workbench with a different measurement-noise
+    /// level — the ground truth is noise-free, so it is reused. Used by
+    /// noise sweeps (`ablation_noise`).
+    pub fn with_noise_sigma(mut self, noise_sigma: f64) -> Self {
+        self.cfg.noise_sigma = noise_sigma;
+        self
+    }
+
     /// The workbench configuration.
     pub fn config(&self) -> &WorkbenchConfig {
         &self.cfg
@@ -583,7 +591,19 @@ impl<'a> Workbench<'a> {
         e_frac: f64,
         cell_frac: f64,
     ) -> Result<RunReport> {
-        self.run_m2td_inner(pivot_mode, opts, p_frac, e_frac, cell_frac, None)
+        let partition = PfPartition::balanced(self.n_modes(), pivot_mode)?;
+        self.run_m2td_inner(&partition, opts, p_frac, e_frac, cell_frac, None)
+    }
+
+    /// As [`Self::run_m2td`] at full densities, over an explicit
+    /// PF-partition instead of the balanced one around a single pivot —
+    /// e.g. `k = 3` pivot modes (`ablation_pivot_k`).
+    pub fn run_m2td_partition(
+        &self,
+        partition: &PfPartition,
+        opts: M2tdOptions,
+    ) -> Result<RunReport> {
+        self.run_m2td_inner(partition, opts, 1.0, 1.0, 1.0, None)
     }
 
     /// As [`Self::run_m2td_cells`], but the simulation stage runs under a
@@ -602,20 +622,20 @@ impl<'a> Workbench<'a> {
         cell_frac: f64,
         faults: &SimFaultPolicy,
     ) -> Result<RunReport> {
-        self.run_m2td_inner(pivot_mode, opts, p_frac, e_frac, cell_frac, Some(faults))
+        let partition = PfPartition::balanced(self.n_modes(), pivot_mode)?;
+        self.run_m2td_inner(&partition, opts, p_frac, e_frac, cell_frac, Some(faults))
     }
 
     fn run_m2td_inner(
         &self,
-        pivot_mode: usize,
+        partition: &PfPartition,
         opts: M2tdOptions,
         p_frac: f64,
         e_frac: f64,
         cell_frac: f64,
         faults: Option<&SimFaultPolicy>,
     ) -> Result<RunReport> {
-        let partition = PfPartition::balanced(self.n_modes(), pivot_mode)?;
-        let build = self.build_subsystems(&partition, p_frac, e_frac, cell_frac, faults)?;
+        let build = self.build_subsystems(partition, p_frac, e_frac, cell_frac, faults)?;
 
         // Ranks in join order.
         let join_modes = partition.join_modes();
