@@ -33,8 +33,7 @@ pub use combine::{align_signs, combine_pivot_factor, row_select, PivotCombine};
 pub use error::CoreError;
 pub use m2td::{
     assemble_factors, check_join, free_offsets, m2td_decompose, m2td_decompose_multi, phase1_side,
-    projection_factors, recover_core, validate_inputs, CoreProjection, M2tdDecomposition,
-    M2tdOptions, M2tdTimings,
+    recover_core, validate_inputs, CoreProjection, M2tdDecomposition, M2tdOptions, M2tdTimings,
 };
 pub use pipeline::{DegradedStats, RunReport, SimFaultPolicy, Workbench, WorkbenchConfig};
 

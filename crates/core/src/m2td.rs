@@ -363,8 +363,10 @@ pub fn check_join(join: &SparseTensor) -> Result<()> {
 
 /// Core-recovery kernel: `G = J ×ₙ Wⁿᵀ` over the join tensor (or, in
 /// D-M2TD, one chunk of its cells — TTM is linear in the tensor), with
-/// `W` the [`projection_factors`] of `factors` and the TTM chain planned
-/// in `opts.ordering`.
+/// `W` the `opts.projection` of `factors` (the factors themselves for
+/// [`CoreProjection::Transpose`], their pseudo-inverse transform for
+/// [`CoreProjection::LeastSquares`]) and the TTM chain planned in
+/// `opts.ordering`.
 ///
 /// # Errors
 ///
@@ -409,10 +411,7 @@ fn acceptance_verdict(
 /// matrices whose transposes should multiply the join tensor when
 /// recovering the core. Identity for [`CoreProjection::Transpose`];
 /// pseudo-inverse-inducing transform for [`CoreProjection::LeastSquares`].
-///
-/// [`recover_core`] applies it to every join tensor or chunk; D-M2TD's
-/// mode-shuffle phase 3 applies it once to its per-mode jobs' factors.
-pub fn projection_factors(factors: &[Matrix], projection: CoreProjection) -> Result<Vec<Matrix>> {
+fn projection_factors(factors: &[Matrix], projection: CoreProjection) -> Result<Vec<Matrix>> {
     match projection {
         CoreProjection::Transpose => Ok(factors.to_vec()),
         CoreProjection::LeastSquares => factors.iter().map(ls_projection_factor).collect(),

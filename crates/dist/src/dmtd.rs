@@ -39,12 +39,12 @@ use crate::manifest::{ManifestLog, ManifestStore};
 use crate::mapreduce::{JobOutput, JobSpec, MapReduce, ShuffleStats, TaskState, WaveRecovery};
 use crate::scheduler::DeadTask;
 use crate::transport::TaskEnvelope;
-use m2td_core::{projection_factors, CoreError, M2tdOptions};
+use m2td_core::{CoreError, M2tdOptions};
 use m2td_fault::{FaultError, FaultPlan, RetryPolicy, TaskCounters};
 use m2td_json::{FromJson, Json, JsonError, ToJson};
 use m2td_linalg::Matrix;
 use m2td_stitch::{JoinLattice, PivotGroup};
-use m2td_tensor::{DenseTensor, Shape, SparseTensor, TuckerDecomp};
+use m2td_tensor::{DenseTensor, SparseTensor, TuckerDecomp};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -340,8 +340,7 @@ fn job_spec<'a>(
 pub const PHASE1_JOB: u64 = 1;
 /// See [`PHASE1_JOB`].
 pub const PHASE2_JOB: u64 = 2;
-/// See [`PHASE1_JOB`]. Under [`Phase3Strategy::ModeShuffle`] all per-mode
-/// jobs share this id.
+/// See [`PHASE1_JOB`].
 pub const PHASE3_JOB: u64 = 3;
 
 /// Measured statistics of one phase: serial compute time plus the shuffle
@@ -423,23 +422,8 @@ impl DistDecomposition {
     }
 }
 
-/// How Phase 3 (core recovery) is distributed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase3Strategy {
-    /// Partition the join cells across reducers; each computes a partial
-    /// core via a full TTM chain over its cells, and the partial cores are
-    /// summed (TTM is linear in the tensor). One MapReduce job.
-    ChunkPartition,
-    /// The paper's literal dataflow (Section VI-D): one MapReduce job per
-    /// mode — cells are shuffled by their all-but-one-mode key, each
-    /// reducer performs the vector-matrix multiplication for its fiber,
-    /// and the output tensor feeds the next mode's job.
-    ModeShuffle,
-}
-
-/// Runs fault-free D-M2TD over two PF-partitioned sub-tensors with the
-/// [`Phase3Strategy::ChunkPartition`] dataflow: [`DistJob::new`] with
-/// `opts`, run on `engine`.
+/// Runs fault-free D-M2TD over two PF-partitioned sub-tensors:
+/// [`DistJob::new`] with `opts`, run on `engine`.
 pub fn d_m2td(
     x1: &SparseTensor,
     x2: &SparseTensor,
@@ -460,7 +444,8 @@ pub fn d_m2td(
 /// fault-free defaults; override fields with struct-update syntax:
 ///
 /// ```
-/// use m2td_dist::{DistJob, MapReduce, Phase3Strategy};
+/// use m2td_core::{M2tdOptions, PivotCombine};
+/// use m2td_dist::{DistJob, MapReduce};
 /// use m2td_tensor::SparseTensor;
 ///
 /// let cells = |c: f64| -> Vec<(Vec<usize>, f64)> {
@@ -468,8 +453,12 @@ pub fn d_m2td(
 /// };
 /// let x1 = SparseTensor::from_entries(&[4, 3], &cells(1.0)).unwrap();
 /// let x2 = SparseTensor::from_entries(&[4, 3], &cells(2.0)).unwrap();
+/// let average = M2tdOptions {
+///     combine: PivotCombine::Average,
+///     ..M2tdOptions::default()
+/// };
 /// let dist = DistJob {
-///     phase3: Phase3Strategy::ModeShuffle,
+///     opts: average,
 ///     ..DistJob::new(&x1, &x2, 1, &[2, 2, 2])
 /// }
 /// .run(&MapReduce::new(2))
@@ -490,8 +479,6 @@ pub struct DistJob<'a> {
     pub ranks: &'a [usize],
     /// Pivot combination, stitching and projection.
     pub opts: M2tdOptions,
-    /// Phase-3 dataflow.
-    pub phase3: Phase3Strategy,
     /// Injected faults and the retry policy that answers them.
     pub faults: FaultConfig,
     /// Phase-boundary checkpoints. Each completed phase persists its
@@ -504,8 +491,8 @@ pub struct DistJob<'a> {
 }
 
 impl<'a> DistJob<'a> {
-    /// The fault-free job: default options, chunk-partitioned phase 3,
-    /// no injected faults, no checkpoints, no recovery layer.
+    /// The fault-free job: default options, no injected faults, no
+    /// checkpoints, no recovery layer.
     pub fn new(x1: &'a SparseTensor, x2: &'a SparseTensor, k: usize, ranks: &'a [usize]) -> Self {
         Self {
             x1,
@@ -513,7 +500,6 @@ impl<'a> DistJob<'a> {
             k,
             ranks,
             opts: M2tdOptions::default(),
-            phase3: Phase3Strategy::ChunkPartition,
             faults: FaultConfig::none(),
             checkpoint: None,
             recovery: None,
@@ -523,13 +509,11 @@ impl<'a> DistJob<'a> {
     /// Runs the three phases on `engine`.
     ///
     /// The factors and the join tensor are bitwise equal to those of the
-    /// serial [`m2td_core::m2td_decompose`] at every worker count. Under
-    /// [`Phase3Strategy::ChunkPartition`] the core is bitwise equal to the
-    /// serial core at one worker; at `W` workers it is the sum, in chunk
-    /// order, of `W` partial cores over the cells of each linear index
-    /// class mod `W`, which is the one reduction whose order differs.
-    /// [`Phase3Strategy::ModeShuffle`] contracts mode by mode and agrees
-    /// only up to accumulation order.
+    /// serial [`m2td_core::m2td_decompose`] at every worker count. The
+    /// core is bitwise equal to the serial core at one worker; at `W`
+    /// workers it is the sum, in chunk order, of `W` partial cores over the
+    /// cells of each linear index class mod `W`, which is the one
+    /// reduction whose order differs.
     ///
     /// Phases resumed from [`checkpoint`](Self::checkpoint) report
     /// `resumed = true` and all-zero [`TaskCounters`]. Without a
@@ -542,8 +526,8 @@ impl<'a> DistJob<'a> {
     /// incomplete tasks, and an exhausted task is parked in the
     /// [`DlqStore`] with its envelope and attempt history instead of
     /// failing the job. Phases 1 and 2 still require full coverage (their
-    /// outputs feed everything downstream), but phase 3 under
-    /// [`Phase3Strategy::ChunkPartition`] completes **degraded** — summing
+    /// outputs feed everything downstream), but phase 3 completes
+    /// **degraded** — summing
     /// the surviving partial cores — as long as coverage stays at or above
     /// [`JobRecovery::min_coverage`]. `m2td-cli dlq requeue` marks parked
     /// tasks for re-execution; the next run re-runs them and drains their
@@ -560,7 +544,6 @@ impl<'a> DistJob<'a> {
             k,
             ranks,
             opts,
-            phase3: phase3_strategy,
             faults,
             checkpoint,
             recovery,
@@ -747,71 +730,61 @@ impl<'a> DistJob<'a> {
         let _span3 = m2td_obs::span!("phase3.core");
         let t3 = Instant::now();
         let mut dead_tasks = Vec::new();
-        let (core, stats3, tasks3) = match phase3_strategy {
-            Phase3Strategy::ChunkPartition => {
-                // Join cells are dealt round-robin by linear index; each
-                // reducer runs the core-recovery kernel on its chunk, whose
-                // cells arrive ascending.
-                let partitions = engine.workers() as u64;
-                let rec3 = phase_recovery(PHASE3_JOB, 3);
-                let sharded3 = engine.run(
-                    &job_spec(PHASE3_JOB, 3, &faults, &rec3),
-                    join.iter_linear().collect(),
-                    |(lin, v)| vec![(lin % partitions, (lin, v))],
-                    |_part, cells: Vec<(u64, f64)>| -> TaskOutcome<DenseTensor> {
-                        let compute = || -> Result<_, DistError> {
-                            let (indices, values) = cells.into_iter().unzip();
-                            let chunk =
-                                SparseTensor::from_sorted_linear(&join_dims, indices, values)?;
-                            Ok(m2td_core::recover_core(&chunk, &factors, opts)?)
-                        };
-                        compute().into()
-                    },
-                )?;
-                resumed_tasks += sharded3.resumed;
-                // Degraded completion: partial cores sum, so a missing task
-                // only loses its cells' contribution. Refuse below the
-                // coverage floor (or at all without a recovery layer — the
-                // wave then fails before reaching here).
-                let total = sharded3.reduce_tasks.max(1);
-                let missing = sharded3.dead.len() + sharded3.skipped_dead.len();
-                if missing > 0 {
-                    let covered = (total as usize - missing) as f64 / total as f64;
-                    let floor = recovery.map(|r| r.min_coverage).unwrap_or(1.0);
-                    if covered < floor {
-                        return Err(DistError::Worker(format!(
-                            "phase-3 coverage {covered:.3} is below the {floor:.3} floor: \
-                             {missing} of {total} partial cores are parked in the dead-letter queue"
-                        )));
-                    }
-                    dead_tasks = sharded3
-                        .dead
-                        .iter()
-                        .map(|d| d.task)
-                        .chain(sharded3.skipped_dead.iter().copied())
-                        .collect();
-                    dead_tasks.sort_unstable();
-                    m2td_obs::counter_add("dlq.degraded_completions", 1);
-                }
-                let mut core: Option<DenseTensor> = None;
-                for (_, outcome) in sharded3.outputs {
-                    let partial = outcome.into_result()?;
-                    core = Some(match core {
-                        None => partial,
-                        Some(acc) => acc.add(&partial)?,
-                    });
-                }
-                let core = core.ok_or_else(|| {
-                    DistError::Invalid("phase 3 produced no partial cores".to_string())
-                })?;
-                (core, sharded3.stats, sharded3.counters)
+        // Join cells are dealt round-robin by linear index; each
+        // reducer runs the core-recovery kernel on its chunk, whose
+        // cells arrive ascending.
+        let partitions = engine.workers() as u64;
+        let rec3 = phase_recovery(PHASE3_JOB, 3);
+        let sharded3 = engine.run(
+            &job_spec(PHASE3_JOB, 3, &faults, &rec3),
+            join.iter_linear().collect(),
+            |(lin, v)| vec![(lin % partitions, (lin, v))],
+            |_part, cells: Vec<(u64, f64)>| -> TaskOutcome<DenseTensor> {
+                let compute = || -> Result<_, DistError> {
+                    let (indices, values) = cells.into_iter().unzip();
+                    let chunk = SparseTensor::from_sorted_linear(&join_dims, indices, values)?;
+                    Ok(m2td_core::recover_core(&chunk, &factors, opts)?)
+                };
+                compute().into()
+            },
+        )?;
+        resumed_tasks += sharded3.resumed;
+        // Degraded completion: partial cores sum, so a missing task
+        // only loses its cells' contribution. Refuse below the
+        // coverage floor (or at all without a recovery layer — the
+        // wave then fails before reaching here).
+        let total = sharded3.reduce_tasks.max(1);
+        let missing = sharded3.dead.len() + sharded3.skipped_dead.len();
+        if missing > 0 {
+            let covered = (total as usize - missing) as f64 / total as f64;
+            let floor = recovery.map(|r| r.min_coverage).unwrap_or(1.0);
+            if covered < floor {
+                return Err(DistError::Worker(format!(
+                    "phase-3 coverage {covered:.3} is below the {floor:.3} floor: \
+                     {missing} of {total} partial cores are parked in the dead-letter queue"
+                )));
             }
-            Phase3Strategy::ModeShuffle => {
-                let projected = projection_factors(&factors, opts.projection)?;
-                phase3_mode_shuffle(&join, &projected, engine, &faults)?
-            }
-        };
-        let phase3 = PhaseStats::computed(t3.elapsed().as_secs_f64(), stats3, tasks3);
+            dead_tasks = sharded3
+                .dead
+                .iter()
+                .map(|d| d.task)
+                .chain(sharded3.skipped_dead.iter().copied())
+                .collect();
+            dead_tasks.sort_unstable();
+            m2td_obs::counter_add("dlq.degraded_completions", 1);
+        }
+        let mut core: Option<DenseTensor> = None;
+        for (_, outcome) in sharded3.outputs {
+            let partial = outcome.into_result()?;
+            core = Some(match core {
+                None => partial,
+                Some(acc) => acc.add(&partial)?,
+            });
+        }
+        let core = core
+            .ok_or_else(|| DistError::Invalid("phase 3 produced no partial cores".to_string()))?;
+        let secs = t3.elapsed().as_secs_f64();
+        let phase3 = PhaseStats::computed(secs, sharded3.stats, sharded3.counters);
         // Phase-3 boundary sentinel: the recovered core is the run's output;
         // a non-finite entry here is exactly the "silent garbage core" the
         // guard layer exists to prevent.
@@ -828,110 +801,6 @@ impl<'a> DistJob<'a> {
             drained: resume_state.map_or(0, |s| s.drained.into_inner()),
         })
     }
-}
-
-/// Phase 3 via the paper's dataflow: one MapReduce job per mode, cells
-/// keyed by their all-but-that-mode index, reducers performing the
-/// per-fiber vector-matrix multiplication `out[j] = Σ_i v_i U[i, j]`.
-/// Shuffle stats and task counters are summed over the per-mode jobs
-/// (which all run under [`PHASE3_JOB`]).
-fn phase3_mode_shuffle(
-    join: &SparseTensor,
-    factors: &[m2td_linalg::Matrix],
-    engine: &MapReduce,
-    faults: &FaultConfig,
-) -> Result<(DenseTensor, ShuffleStats, TaskCounters), DistError> {
-    let order = join.order();
-    let mut cells: Vec<(Vec<usize>, f64)> = join.iter().collect();
-    let mut dims: Vec<usize> = join.dims().to_vec();
-    let mut total = ShuffleStats::default();
-    let mut tasks = TaskCounters::default();
-
-    for mode in 0..order {
-        let factor = &factors[mode];
-        let r = factor.cols();
-        let rest_dims: Vec<usize> = dims
-            .iter()
-            .enumerate()
-            .filter(|&(m, _)| m != mode)
-            .map(|(_, &d)| d)
-            .collect();
-        let rest_shape = Shape::new(&rest_dims);
-
-        let sharded = engine.run(
-            &JobSpec {
-                job: PHASE3_JOB,
-                phase: 3,
-                plan: &faults.plan,
-                policy: &faults.policy,
-                // Per-mode jobs reuse task ids, so manifest-based resume
-                // cannot tell them apart — ModeShuffle never parks.
-                recovery: None,
-            },
-            cells,
-            |(idx, v): (Vec<usize>, f64)| {
-                // Key: the linearized all-but-`mode` index.
-                let rest: Vec<usize> = idx
-                    .iter()
-                    .enumerate()
-                    .filter(|&(m, _)| m != mode)
-                    .map(|(_, &i)| i)
-                    .collect();
-                let key = rest_shape.linear_index(&rest) as u64;
-                vec![(key, (idx[mode], v))]
-            },
-            |key, fiber: Vec<(usize, f64)>| {
-                // out[j] = Σ_i v_i U[i, j] — the paper's vector-matrix step.
-                let mut out = vec![0.0f64; r];
-                for (i, v) in fiber {
-                    for (slot, j) in out.iter_mut().zip(0..r) {
-                        *slot += v * factor.get(i, j);
-                    }
-                }
-                (*key, out)
-            },
-        )?;
-        total.map_records += sharded.stats.map_records;
-        total.shuffled_pairs += sharded.stats.shuffled_pairs;
-        total.reduce_groups += sharded.stats.reduce_groups;
-        tasks.absorb(&sharded.counters);
-        let groups = sharded.outputs.into_iter().map(|(_, g)| g);
-
-        // Reassemble the (dense-in-`mode`) intermediate as the next input:
-        // mode's extent becomes r.
-        dims[mode] = r;
-        let mut next: Vec<(Vec<usize>, f64)> = Vec::with_capacity(groups.len() * r);
-        let mut rest_idx = vec![0usize; rest_dims.len()];
-        for (key, out) in groups {
-            rest_shape.multi_index_into(key as usize, &mut rest_idx);
-            for (j, &v) in out.iter().enumerate() {
-                if v == 0.0 {
-                    continue;
-                }
-                let mut idx = Vec::with_capacity(order);
-                let mut o = 0;
-                for m in 0..order {
-                    if m == mode {
-                        idx.push(j);
-                    } else {
-                        idx.push(rest_idx[o]);
-                        o += 1;
-                    }
-                }
-                next.push((idx, v));
-            }
-        }
-        cells = next;
-    }
-
-    // Materialize the core densely.
-    let mut core = DenseTensor::zeros(&dims);
-    let core_shape = core.shape().clone();
-    let data = core.as_mut_slice();
-    for (idx, v) in cells {
-        data[core_shape.linear_index(&idx)] += v;
-    }
-    Ok((core, total, tasks))
 }
 
 #[cfg(test)]
@@ -1024,63 +893,6 @@ mod tests {
             .unwrap()
             .frobenius_norm();
         assert!(d < 1e-9, "zero-join core mismatch: {d}");
-    }
-
-    #[test]
-    fn mode_shuffle_phase3_matches_chunk_partition() {
-        let (x1, x2) = sub_tensors(6, 5);
-        let ranks = [3, 3, 3];
-        let opts = M2tdOptions::default();
-        let engine = MapReduce::new(3);
-        let chunk = d_m2td(&x1, &x2, 1, &ranks, opts, &engine).unwrap();
-        let shuffle = DistJob {
-            opts,
-            phase3: Phase3Strategy::ModeShuffle,
-            ..DistJob::new(&x1, &x2, 1, &ranks)
-        }
-        .run(&engine)
-        .unwrap();
-        let d = chunk
-            .tucker
-            .core
-            .sub(&shuffle.tucker.core)
-            .unwrap()
-            .frobenius_norm();
-        assert!(d < 1e-9, "phase-3 strategies disagree by {d}");
-        // The mode-shuffle dataflow moves more data (N jobs).
-        assert!(shuffle.phase3.shuffle.shuffled_pairs >= chunk.phase3.shuffle.shuffled_pairs);
-    }
-
-    #[test]
-    fn mode_shuffle_matches_serial_on_thin_inputs() {
-        let (x1_full, x2_full) = sub_tensors(6, 5);
-        let thin = |x: &SparseTensor, m: usize| {
-            let entries: Vec<(Vec<usize>, f64)> = x
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % m != 0)
-                .map(|(_, e)| e)
-                .collect();
-            SparseTensor::from_entries(x.dims(), &entries).unwrap()
-        };
-        let x1 = thin(&x1_full, 4);
-        let x2 = thin(&x2_full, 3);
-        let opts = M2tdOptions::default();
-        let serial = m2td_decompose(&x1, &x2, 1, &[2, 2, 2], opts).unwrap();
-        let dist = DistJob {
-            opts,
-            phase3: Phase3Strategy::ModeShuffle,
-            ..DistJob::new(&x1, &x2, 1, &[2, 2, 2])
-        }
-        .run(&MapReduce::new(2))
-        .unwrap();
-        let d = dist
-            .tucker
-            .core
-            .sub(&serial.tucker.core)
-            .unwrap()
-            .frobenius_norm();
-        assert!(d < 1e-9, "mode-shuffle disagrees with serial by {d}");
     }
 
     #[test]

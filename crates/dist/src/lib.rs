@@ -44,8 +44,8 @@ pub use checkpoint::{CheckpointError, CheckpointStore, Fingerprint};
 pub use cluster::{ClusterModel, FailureModel, PhaseCost};
 pub use dlq::{DlqEntry, DlqStore};
 pub use dmtd::{
-    d_m2td, DistDecomposition, DistError, DistJob, FaultConfig, JobRecovery, Phase3Strategy,
-    PhaseStats, PHASE1_JOB, PHASE2_JOB, PHASE3_JOB,
+    d_m2td, DistDecomposition, DistError, DistJob, FaultConfig, JobRecovery, PhaseStats,
+    PHASE1_JOB, PHASE2_JOB, PHASE3_JOB,
 };
 pub use manifest::{JobManifest, ManifestLog, ManifestStore, PhaseManifest};
 pub use mapreduce::{JobOutput, JobSpec, MapReduce, ShuffleStats};

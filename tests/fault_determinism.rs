@@ -12,7 +12,7 @@
 use m2td::core::M2tdOptions;
 use m2td::dist::{
     d_m2td, CheckpointStore, DistDecomposition, DistError, DistJob, DlqStore, FaultConfig,
-    JobRecovery, ManifestStore, MapReduce, Phase3Strategy, TransportKind, PHASE3_JOB,
+    JobRecovery, ManifestStore, MapReduce, TransportKind, PHASE3_JOB,
 };
 use m2td::fault::{FaultPlan, RetryPolicy};
 use m2td::tensor::{Shape, SparseTensor};
@@ -167,35 +167,6 @@ fn channel_transport_is_bitwise_deterministic_under_faults() {
                  the corruption property is vacuous"
             );
         }
-    }
-}
-
-#[test]
-fn mode_shuffle_phase3_is_also_fault_deterministic() {
-    let (x1, x2) = sub_tensors();
-    let opts = M2tdOptions::default();
-    let engine = MapReduce::new(2);
-    let reference = DistJob {
-        opts,
-        phase3: Phase3Strategy::ModeShuffle,
-        ..DistJob::new(&x1, &x2, K, &RANKS)
-    }
-    .run(&engine)
-    .unwrap();
-    for seed in seeds_under_test() {
-        let faults = FaultConfig {
-            plan: FaultPlan::new(seed, 0.6, 0.0, 0.0),
-            policy: RetryPolicy::default(),
-        };
-        let run = DistJob {
-            opts,
-            phase3: Phase3Strategy::ModeShuffle,
-            faults,
-            ..DistJob::new(&x1, &x2, K, &RANKS)
-        }
-        .run(&engine)
-        .unwrap();
-        assert_bitwise_equal(&reference, &run, &format!("mode-shuffle, seed {seed}"));
     }
 }
 
