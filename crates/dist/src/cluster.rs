@@ -123,7 +123,7 @@ impl ClusterModel {
     ///
     /// ```
     /// use m2td_dist::{ClusterModel, FailureModel, ShuffleStats};
-    /// let stats = ShuffleStats { map_records: 1_000, shuffled_pairs: 100_000, reduce_groups: 64 };
+    /// let stats = ShuffleStats { shuffled_pairs: 100_000, reduce_groups: 64 };
     /// let fm = |f| FailureModel { failure_rate: f, straggle_rate: 0.05, speculate_after_secs: 5.0 };
     /// let t = |w: usize, f: f64| ClusterModel::new(w).phase_cost_under_failure(40.0, &stats, &fm(f)).total();
     /// // Monotone in the failure rate at fixed W…
@@ -158,7 +158,6 @@ mod tests {
 
     fn stats(pairs: usize) -> ShuffleStats {
         ShuffleStats {
-            map_records: pairs,
             shuffled_pairs: pairs,
             reduce_groups: pairs / 10 + 1,
         }

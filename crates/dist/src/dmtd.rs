@@ -613,12 +613,12 @@ impl<'a> DistJob<'a> {
                 let rec1 = phase_recovery(PHASE1_JOB, 1);
                 let sharded1 = engine.run(
                     &job_spec(PHASE1_JOB, 1, &faults, &rec1),
-                    tagged.clone(),
-                    |(kappa, lin, v)| vec![(kappa, (lin, v))],
-                    |kappa, entries| -> TaskOutcome<(Vec<Matrix>, Vec<Matrix>)> {
-                        let s = side(*kappa);
+                    &tagged,
+                    subs.len(),
+                    |&(kappa, lin, v)| (side(kappa), (lin, v)),
+                    |s, entries: &[(u64, f64)]| -> TaskOutcome<(Vec<Matrix>, Vec<Matrix>)> {
                         let compute = || -> Result<_, DistError> {
-                            let (indices, values) = entries.into_iter().unzip();
+                            let (indices, values) = entries.iter().copied().unzip();
                             let x =
                                 SparseTensor::from_sorted_linear(subs[s].dims(), indices, values)?;
                             Ok(m2td_core::phase1_side(&x, k, ranks, offsets[s])?)
@@ -659,10 +659,10 @@ impl<'a> DistJob<'a> {
         drop(span1);
 
         // ---- Phase 2: parallel JE-stitching ---------------------------------
-        // Entries are keyed by pivot; each reducer emits its pivot's join
-        // cells with the stitch kernel. Keys arrive ascending and cells
-        // ascend within a key, so the concatenated outputs are the join
-        // tensor's sorted storage.
+        // Entries are partitioned by pivot; each reducer emits its pivot's
+        // join cells with the stitch kernel. Pivots arrive ascending and
+        // cells ascend within a pivot, so the concatenated outputs are the
+        // join tensor's sorted storage.
         let span2 = m2td_obs::span!("phase2.stitch");
         let t2 = Instant::now();
         let join_dims: Vec<usize> = x1.dims().iter().chain(&x2.dims()[k..]).copied().collect();
@@ -679,14 +679,16 @@ impl<'a> DistJob<'a> {
             None => {
                 let lattice = JoinLattice::new(&subs, k, opts.stitch);
                 let rec2 = phase_recovery(PHASE2_JOB, 2);
+                let pivots = x1.dims()[..k].iter().product();
                 let sharded2 = engine.run(
                     &job_spec(PHASE2_JOB, 2, &faults, &rec2),
-                    tagged,
-                    |(kappa, lin, v)| {
+                    &tagged,
+                    pivots,
+                    |&(kappa, lin, v)| {
                         let (p, f) = lattice.locate(side(kappa), lin);
-                        vec![(p, (kappa, f, v))]
+                        (p as usize, (kappa, f, v))
                     },
-                    |&p, entries: Vec<(u8, u64, f64)>| -> Vec<(u64, f64)> {
+                    |p, entries: &[(u8, u64, f64)]| -> Vec<(u64, f64)> {
                         // x1's entries come first, each side's ascending.
                         let (free, values): (Vec<u64>, Vec<f64>) =
                             entries.iter().map(|&(_, f, v)| (f, v)).unzip();
@@ -698,7 +700,7 @@ impl<'a> DistJob<'a> {
                         let cells = lattice.cell_count(&groups);
                         let (mut join_indices, mut join_values) =
                             (Vec::with_capacity(cells), Vec::with_capacity(cells));
-                        lattice.emit_pivot(p, &groups, &mut join_indices, &mut join_values);
+                        lattice.emit_pivot(p as u64, &groups, &mut join_indices, &mut join_values);
                         join_indices.into_iter().zip(join_values).collect()
                     },
                 )?;
@@ -730,18 +732,19 @@ impl<'a> DistJob<'a> {
         let _span3 = m2td_obs::span!("phase3.core");
         let t3 = Instant::now();
         let mut dead_tasks = Vec::new();
-        // Join cells are dealt round-robin by linear index; each
-        // reducer runs the core-recovery kernel on its chunk, whose
-        // cells arrive ascending.
-        let partitions = engine.workers() as u64;
+        // Join cells are dealt round-robin by linear index (partition
+        // `lin % W`); each reducer runs the core-recovery kernel on its
+        // chunk, whose cells arrive ascending.
+        let partitions = engine.workers();
         let rec3 = phase_recovery(PHASE3_JOB, 3);
         let sharded3 = engine.run(
             &job_spec(PHASE3_JOB, 3, &faults, &rec3),
-            join.iter_linear().collect(),
-            |(lin, v)| vec![(lin % partitions, (lin, v))],
-            |_part, cells: Vec<(u64, f64)>| -> TaskOutcome<DenseTensor> {
+            &join.iter_linear().collect::<Vec<_>>(),
+            partitions,
+            |&(lin, v)| ((lin % partitions as u64) as usize, (lin, v)),
+            |_, cells: &[(u64, f64)]| -> TaskOutcome<DenseTensor> {
                 let compute = || -> Result<_, DistError> {
-                    let (indices, values) = cells.into_iter().unzip();
+                    let (indices, values) = cells.iter().copied().unzip();
                     let chunk = SparseTensor::from_sorted_linear(&join_dims, indices, values)?;
                     Ok(m2td_core::recover_core(&chunk, &factors, opts)?)
                 };
@@ -753,10 +756,10 @@ impl<'a> DistJob<'a> {
         // only loses its cells' contribution. Refuse below the
         // coverage floor (or at all without a recovery layer — the
         // wave then fails before reaching here).
-        let total = sharded3.reduce_tasks.max(1);
+        let total = sharded3.stats.reduce_groups.max(1);
         let missing = sharded3.dead.len() + sharded3.skipped_dead.len();
         if missing > 0 {
-            let covered = (total as usize - missing) as f64 / total as f64;
+            let covered = (total - missing) as f64 / total as f64;
             let floor = recovery.map(|r| r.min_coverage).unwrap_or(1.0);
             if covered < floor {
                 return Err(DistError::Worker(format!(
@@ -907,11 +910,11 @@ mod tests {
             &MapReduce::new(2),
         )
         .unwrap();
-        assert!(dist.phase1.shuffle.map_records > 0);
+        assert!(dist.phase1.shuffle.shuffled_pairs > 0);
         assert!(dist.phase2.shuffle.shuffled_pairs > 0);
         assert!(dist.phase3.shuffle.reduce_groups >= 1);
         // Phase 2's shuffle moves every input entry.
-        assert_eq!(dist.phase2.shuffle.map_records, x1.nnz() + x2.nnz());
+        assert_eq!(dist.phase2.shuffle.shuffled_pairs, x1.nnz() + x2.nnz());
         // Fault-free: attempts ran, nothing was killed, nothing resumed.
         assert!(dist.total_tasks().attempts() > 0);
         assert_eq!(dist.total_tasks().kills(), 0);
@@ -934,7 +937,7 @@ mod tests {
         let c3 = dist.phase3.on_cluster(&model);
         // Phase 3 shuffles the (much larger) join tensor.
         assert!(
-            dist.phase3.shuffle.map_records > dist.phase2.shuffle.map_records,
+            dist.phase3.shuffle.shuffled_pairs > dist.phase2.shuffle.shuffled_pairs,
             "join tensor should dwarf the input entries"
         );
         assert!(c3.total() > 0.0);

@@ -25,7 +25,7 @@
 //! re-execution, persisting phase boundaries to a [`CheckpointStore`] so
 //! interrupted runs resume instead of recomputing.
 //!
-//! Sharded execution (DESIGN.md §14): tasks cross a [`Transport`] boundary
+//! Sharded execution (DESIGN.md §14): tasks cross a [`ChannelTransport`]
 //! as checksummed [`TaskEnvelope`]s, are scheduled by a work-stealing wave
 //! scheduler, and — with a [`JobRecovery`] — exhausted tasks park in a
 //! [`DlqStore`] dead-letter queue while a [`JobManifest`] records
@@ -49,6 +49,4 @@ pub use dmtd::{
 };
 pub use manifest::{JobManifest, ManifestLog, ManifestStore, PhaseManifest};
 pub use mapreduce::{JobOutput, JobSpec, MapReduce, ShuffleStats};
-pub use transport::{
-    ChannelTransport, DirectTransport, TaskEnvelope, Transport, TransportError, TransportKind,
-};
+pub use transport::{ChannelTransport, TaskEnvelope, TransportError, TransportKind};

@@ -1,5 +1,5 @@
-//! Transport abstraction: how tasks and sub-tensor shards cross the
-//! boundary between the D-M2TD driver and its workers.
+//! Transport: how tasks and sub-tensor shards cross the boundary between
+//! the D-M2TD driver and its workers.
 //!
 //! Everything that crosses a transport is a [`TaskEnvelope`]: the task
 //! identity (job, phase, kind, task id, attempt) plus an opaque serialized
@@ -22,17 +22,15 @@
 //! slice before any payload byte is read as JSON — corrupt bytes are
 //! never deserialized into the pipeline.
 //!
-//! Two implementations exist today:
+//! [`ChannelTransport`] frames every envelope, pushes the bytes through
+//! an in-process `std::sync::mpsc` channel hop, optionally injects
+//! deterministic wire corruption from the [`FaultPlan`] wire stream, and
+//! verifies the frame on the far side. Under [`TransportKind::Direct`] no
+//! envelope exists at all: the engine calls its tasks on borrowed inputs.
 //!
-//! * [`DirectTransport`] — a pass-through used as a reference; and
-//! * [`ChannelTransport`] — frames every envelope, pushes the bytes
-//!   through an in-process `std::sync::mpsc` channel hop, optionally
-//!   injects deterministic wire corruption from the [`FaultPlan`] wire
-//!   stream, and verifies the frame on the far side.
-//!
-//! The channel implementation is deliberately shaped like a future
-//! socket/process transport: nothing crosses it except bytes, so swapping
-//! the hop for a TCP stream changes no caller.
+//! The channel is deliberately shaped like a future socket/process
+//! transport: nothing crosses it except bytes, so swapping the hop for a
+//! TCP stream changes no caller.
 
 use m2td_fault::{CorruptionKind, FaultPlan, TaskKind};
 use m2td_guard::integrity::fnv1a64;
@@ -285,32 +283,6 @@ impl TaskEnvelope {
     }
 }
 
-/// How envelopes cross from driver to worker (and back). `leg` identifies
-/// the crossing within one attempt: `0` = task dispatch, `1` = result
-/// return — the wire-corruption stream draws independently per leg.
-pub trait Transport: Sync {
-    /// Delivers one envelope, returning it as the far side sees it.
-    fn deliver(&self, envelope: &TaskEnvelope, leg: u32) -> Result<TaskEnvelope, TransportError>;
-
-    /// Which implementation this is.
-    fn kind(&self) -> TransportKind;
-}
-
-/// Pass-through transport: no serialization, no loss. The reference
-/// implementation the channel transport must agree with bitwise.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DirectTransport;
-
-impl Transport for DirectTransport {
-    fn deliver(&self, envelope: &TaskEnvelope, _leg: u32) -> Result<TaskEnvelope, TransportError> {
-        Ok(envelope.clone())
-    }
-
-    fn kind(&self) -> TransportKind {
-        TransportKind::Direct
-    }
-}
-
 /// In-process channel transport: every delivery frames the envelope,
 /// optionally damages the bytes per the [`FaultPlan`] wire stream, pushes
 /// them through an `mpsc` channel hop, and verifies the checksum on the
@@ -345,10 +317,16 @@ impl ChannelTransport {
         // (the parser rejects the replacement character anyway).
         String::from_utf8_lossy(&bytes).into_owned()
     }
-}
 
-impl Transport for ChannelTransport {
-    fn deliver(&self, envelope: &TaskEnvelope, leg: u32) -> Result<TaskEnvelope, TransportError> {
+    /// Delivers one envelope, returning it as the far side sees it. `leg`
+    /// identifies the crossing within one attempt: `0` = task dispatch,
+    /// `1` = result return — the wire-corruption stream draws
+    /// independently per leg.
+    pub fn deliver(
+        &self,
+        envelope: &TaskEnvelope,
+        leg: u32,
+    ) -> Result<TaskEnvelope, TransportError> {
         let mut text = envelope.encode();
         if let Some(kind) =
             self.plan
@@ -371,10 +349,6 @@ impl Transport for ChannelTransport {
         received.drain(..body);
         delivered.payload = received;
         Ok(delivered)
-    }
-
-    fn kind(&self) -> TransportKind {
-        TransportKind::Channel
     }
 }
 
@@ -505,18 +479,12 @@ mod tests {
     }
 
     #[test]
-    fn clean_channel_agrees_with_direct() {
+    fn clean_channel_delivers_the_envelope_unchanged() {
         let env = envelope();
-        let direct = DirectTransport.deliver(&env, 0).unwrap();
-        let channel = ChannelTransport::new(FaultPlan::none())
-            .deliver(&env, 0)
-            .unwrap();
-        assert_eq!(direct, channel);
-        assert_eq!(DirectTransport.kind(), TransportKind::Direct);
-        assert_eq!(
-            ChannelTransport::new(FaultPlan::none()).kind(),
-            TransportKind::Channel
-        );
+        let channel = ChannelTransport::new(FaultPlan::none());
+        for leg in [0, 1] {
+            assert_eq!(channel.deliver(&env, leg).unwrap(), env);
+        }
     }
 
     #[test]

@@ -685,9 +685,15 @@ impl ToJson for &str {
     }
 }
 
-impl<T: ToJson> ToJson for Vec<T> {
+impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        self.as_slice().to_json()
     }
 }
 
