@@ -240,3 +240,33 @@ fn grid_beats_random_which_is_conventional_ordering() {
         random.accuracy
     );
 }
+
+#[test]
+fn quickstart_accuracy_is_pinned() {
+    // `examples/quickstart.rs`'s exact configuration; README quotes its
+    // output. A drift here means a kernel changed results.
+    let system = DoublePendulum::default();
+    let cfg = WorkbenchConfig {
+        resolution: 8,
+        time_steps: 8,
+        t_end: 2.0,
+        substeps: 16,
+        rank: 4,
+        seed: 7,
+        noise_sigma: 0.0,
+    };
+    let bench = Workbench::new(&system, cfg).unwrap();
+    let pivot_time = bench.n_modes() - 1;
+    let m2td = bench
+        .run_m2td(pivot_time, M2tdOptions::default(), 1.0, 1.0)
+        .unwrap();
+    assert_eq!(bench.m2td_budget(pivot_time, 1.0, 1.0).unwrap(), 1024);
+    assert_eq!(m2td.method, "M2TD-SELECT");
+    assert_eq!(format!("{:.4}", m2td.accuracy), "0.4895");
+    assert_eq!(
+        m2td.accuracy.to_bits(),
+        0x3fdf_536e_ea5b_88a2,
+        "{:e}",
+        m2td.accuracy
+    );
+}
