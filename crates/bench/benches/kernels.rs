@@ -427,13 +427,16 @@ fn bench_parallel_speedup(c: &mut Criterion) {
     m2td_par::set_max_threads(0);
 }
 
-/// Envelope-transport overhead: the same D-M2TD job over the direct
-/// in-process path vs the checksummed channel transport, at 1, 2 and 8
-/// logical workers. The channel numbers price serialization, checksum
-/// verification and the extra mpsc hop; results are asserted bitwise
-/// equal before timing starts so the family never prices a wrong answer.
+/// Engine and envelope-transport overhead: serial M2TD (`serial`) and the
+/// same D-M2TD job over the direct in-process path vs the checksummed
+/// channel transport, at 1, 2 and 8 logical workers. `direct_w1` over
+/// `serial` prices the MapReduce engine; the channel numbers add
+/// serialization, checksum verification and the extra mpsc hop. Results
+/// are asserted bitwise equal before timing starts (the 1-worker direct
+/// core against the serial one) so the family never prices a wrong
+/// answer.
 fn bench_dist_overhead(c: &mut Criterion) {
-    use m2td_core::M2tdOptions;
+    use m2td_core::{m2td_decompose, M2tdOptions};
     use m2td_dist::{d_m2td, MapReduce, TransportKind};
 
     let cell = |p: usize, a: usize, b: usize| {
@@ -450,11 +453,20 @@ fn bench_dist_overhead(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("dist_overhead");
     g.sample_size(10);
+    let serial = m2td_decompose(&x1, &x2, 1, &ranks, opts).unwrap();
+    g.bench_function("serial", |b| {
+        b.iter(|| m2td_decompose(black_box(&x1), &x2, 1, &ranks, opts).unwrap())
+    });
     for workers in [1usize, 2, 8] {
         let direct = MapReduce::new(workers).with_transport(TransportKind::Direct);
         let channel = direct.with_transport(TransportKind::Channel);
         let baseline = d_m2td(&x1, &x2, 1, &ranks, opts, &direct).unwrap();
         let over_channel = d_m2td(&x1, &x2, 1, &ranks, opts, &channel).unwrap();
+        let same_as_serial = baseline.tucker.core.as_slice() == serial.tucker.core.as_slice();
+        assert!(
+            workers > 1 || same_as_serial,
+            "1-worker job diverged from serial"
+        );
         assert_eq!(
             baseline.tucker.core.as_slice(),
             over_channel.tucker.core.as_slice(),
