@@ -201,9 +201,10 @@ FLAGS (run only):
   --save <path>          write the Tucker decomposition as JSON
 
 FLAGS (dist):
-  --dir <path>           job directory (required): phase checkpoints,
-                         the append-only manifest.json log and dlq.json,
-                         all sealed v3 records; v2 directories are rejected
+  --dir <path>           job directory (required): the append-only
+                         manifest.json log a rerun resumes from, and
+                         dlq.json, all sealed v3 records; v2 directories
+                         are rejected
   --workers <n>          logical workers                  [default 2]
   --transport <t>        direct | channel (overrides M2TD_TRANSPORT)
   --p-dim <n>            pivot-mode extent of the input   [default 8]
@@ -652,8 +653,7 @@ fn dist_inputs(
 /// `dist`: one resumable sharded D-M2TD run over a job directory.
 fn run_dist(args: &Args) -> Result<u8, String> {
     use m2td_dist::{
-        CheckpointStore, DistJob, DlqStore, FaultConfig, JobRecovery, ManifestStore, MapReduce,
-        TransportKind,
+        DistJob, DlqStore, FaultConfig, JobRecovery, ManifestStore, MapReduce, TransportKind,
     };
     use m2td_fault::{FaultPlan, RetryPolicy};
     use m2td_json::ToJson;
@@ -724,7 +724,6 @@ fn run_dist(args: &Args) -> Result<u8, String> {
     let (x1, x2) = dist_inputs(p_dim, f_dim)?;
     let ranks = [rank.min(p_dim), rank.min(f_dim), rank.min(f_dim)];
     let engine = MapReduce::new(workers).with_transport(transport);
-    let checkpoint = CheckpointStore::new(dir).map_err(|e| e.to_string())?;
     let manifest = ManifestStore::open(dir).map_err(|e| e.to_string())?;
     let dlq = DlqStore::open(dir);
     let recovery = JobRecovery::new(&manifest, &dlq).with_min_coverage(min_coverage);
@@ -734,7 +733,6 @@ fn run_dist(args: &Args) -> Result<u8, String> {
     );
     let d = DistJob {
         faults,
-        checkpoint: Some(&checkpoint),
         recovery: Some(recovery),
         ..DistJob::new(&x1, &x2, 1, &ranks)
     }

@@ -4,7 +4,7 @@
 //! budget allows, a recovery-enabled run no longer aborts: the task's
 //! envelope (identity + serialized input payload), its attempt history,
 //! and the terminal error are **parked** as a [`DlqEntry`] in `dlq.json`
-//! next to the checkpoint store, and the phase completes degraded where
+//! next to the job manifest, and the phase completes degraded where
 //! coverage allows. Operators inspect the queue with `m2td-cli dlq list`,
 //! mark entries for another try with `dlq requeue`, and discard them with
 //! `dlq purge`. A requeued entry makes the next run over the same inputs
@@ -108,7 +108,7 @@ impl FromJson for DlqEntry {
     }
 }
 
-/// The persistent dead-letter queue of one checkpoint directory.
+/// The persistent dead-letter queue of one job directory.
 #[derive(Debug)]
 pub struct DlqStore {
     files: SealedFiles,
@@ -116,11 +116,11 @@ pub struct DlqStore {
 }
 
 impl DlqStore {
-    /// File name of the queue inside a checkpoint directory.
+    /// File name of the queue inside a job directory.
     pub const FILE_NAME: &'static str = "dlq.json";
 
-    /// Opens the queue stored in `dir` (typically the checkpoint
-    /// directory). A missing file yields an empty queue; so does a
+    /// Opens the queue stored in `dir` (typically the job directory,
+    /// next to the manifest). A missing file yields an empty queue; so does a
     /// damaged one, after it is quarantined.
     pub fn open(dir: impl AsRef<Path>) -> Self {
         let files = SealedFiles::new(dir.as_ref(), "dlq.file", &["dlq"]);

@@ -24,18 +24,18 @@
 //! ## Fault tolerance
 //!
 //! With a seeded [`FaultConfig`], task kills are retried with
-//! deterministic virtual backoff, stragglers are rescued by speculative
-//! re-execution, and each completed phase boundary can be persisted to a
-//! [`CheckpointStore`] so a later run over the same inputs resumes from
-//! the first incomplete phase. Because every task is pure, any fault
-//! schedule that eventually succeeds produces factors and a core
-//! **bitwise identical** to the fault-free run at every `M2TD_THREADS`
-//! setting; `tests/fault_determinism.rs` pins this.
+//! deterministic virtual backoff and stragglers are rescued by
+//! speculative re-execution. With a [`JobRecovery`], every completed
+//! reduce task is recorded in the job manifest, so a later run over the
+//! same inputs re-runs only the unrecorded reduce tasks of each phase,
+//! and none at all of a phase 1 or 2 that finished. Because every task
+//! is pure, any fault schedule that eventually succeeds produces factors
+//! and a core **bitwise identical** to the fault-free run at every
+//! `M2TD_THREADS` setting; `tests/fault_determinism.rs` pins this.
 
-use crate::checkpoint::{CheckpointStore, Fingerprint};
 use crate::cluster::{ClusterModel, PhaseCost};
 use crate::dlq::{DlqEntry, DlqStore};
-use crate::manifest::{ManifestLog, ManifestStore};
+use crate::manifest::{Fingerprint, ManifestLog, ManifestStore};
 use crate::mapreduce::{JobOutput, JobSpec, MapReduce, ShuffleStats, TaskState, WaveRecovery};
 use crate::scheduler::DeadTask;
 use crate::transport::TaskEnvelope;
@@ -59,8 +59,8 @@ pub enum DistError {
     Invalid(String),
     /// A task was killed on every attempt its retry budget allowed.
     Exhausted(FaultError),
-    /// A phase checkpoint could not be written.
-    Checkpoint(String),
+    /// The job manifest could not be opened.
+    Manifest(String),
     /// A worker-side failure that crossed the transport boundary, or a
     /// task stranded in the dead-letter queue. Carries the rendered error
     /// — typed errors do not survive serialization.
@@ -73,7 +73,7 @@ impl fmt::Display for DistError {
             DistError::Core(e) => write!(f, "core error: {e}"),
             DistError::Invalid(s) => write!(f, "invalid D-M2TD input: {s}"),
             DistError::Exhausted(e) => write!(f, "{e}"),
-            DistError::Checkpoint(s) => write!(f, "checkpoint error: {s}"),
+            DistError::Manifest(s) => write!(f, "manifest error: {s}"),
             DistError::Worker(s) => write!(f, "worker error: {s}"),
         }
     }
@@ -83,7 +83,7 @@ impl std::error::Error for DistError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DistError::Core(e) => Some(e),
-            DistError::Invalid(_) | DistError::Checkpoint(_) | DistError::Worker(_) => None,
+            DistError::Invalid(_) | DistError::Manifest(_) | DistError::Worker(_) => None,
             DistError::Exhausted(e) => Some(e),
         }
     }
@@ -318,6 +318,42 @@ fn require_full_coverage<R>(phase: u8, out: &JobOutput<R>) -> Result<(), DistErr
     Ok(())
 }
 
+/// What a phase's job reports besides its outputs.
+type JobTally = (ShuffleStats, TaskCounters);
+
+/// The reduce outputs of phase 1 or 2, in task order, and the shuffle
+/// statistics and task counters of the job that produced them. A phase
+/// the manifest records as finished runs no task: its recorded outputs
+/// are decoded instead and the job part is `None`. An output that does
+/// not decode makes the phase run, as the engine recomputes such a task.
+fn run_or_resume<R: FromJson>(
+    state: Option<&ResumeState>,
+    phase: u8,
+    resumed_tasks: &mut usize,
+    run: impl FnOnce() -> Result<JobOutput<R>, FaultError>,
+) -> Result<(Vec<R>, Option<JobTally>), DistError> {
+    let recorded = state.and_then(|s| {
+        let log = s
+            .manifest
+            .lock()
+            .expect("no task panics holding the manifest");
+        let outputs = log.manifest().phases.get(&phase)?.finished_outputs()?;
+        outputs
+            .map(|doc| R::from_json(doc).ok())
+            .collect::<Option<Vec<R>>>()
+    });
+    if let Some(outputs) = recorded {
+        *resumed_tasks += outputs.len();
+        m2td_obs::counter_add("manifest.tasks_resumed", outputs.len() as u64);
+        return Ok((outputs, None));
+    }
+    let out = run()?;
+    require_full_coverage(phase, &out)?;
+    *resumed_tasks += out.resumed;
+    let outputs = out.outputs.into_iter().map(|(_, r)| r).collect();
+    Ok((outputs, Some((out.stats, out.counters))))
+}
+
 /// The [`JobSpec`] of one phase's job under `faults`, with the phase's
 /// recovery hook if the run has one.
 fn job_spec<'a>(
@@ -354,29 +390,30 @@ pub struct PhaseStats {
     pub shuffle: ShuffleStats,
     /// Task-execution counters (attempts, kills, stragglers, speculative
     /// copies, virtual lost time) accumulated by the phase's job(s).
-    /// All-zero for a phase resumed from a checkpoint.
+    /// All-zero for a resumed phase.
     pub tasks: TaskCounters,
-    /// True if this phase's output was loaded from a
-    /// [`CheckpointStore`](crate::CheckpointStore) instead of computed.
+    /// True if this phase ran no task because the job manifest records it
+    /// as finished; its output was rebuilt from the recorded outputs.
     pub resumed: bool,
 }
 
 impl PhaseStats {
-    fn computed(serial_secs: f64, shuffle: ShuffleStats, tasks: TaskCounters) -> Self {
+    /// Stats of a phase begun at `start`: `ran` holds its job's shuffle
+    /// statistics and task counters, `None` marks a resumed phase.
+    fn new(start: Instant, ran: Option<JobTally>) -> Self {
+        let Some((shuffle, tasks)) = ran else {
+            return Self {
+                serial_secs: 0.0,
+                shuffle: ShuffleStats::default(),
+                tasks: TaskCounters::default(),
+                resumed: true,
+            };
+        };
         Self {
-            serial_secs,
+            serial_secs: start.elapsed().as_secs_f64(),
             shuffle,
             tasks,
             resumed: false,
-        }
-    }
-
-    fn resumed_from_checkpoint() -> Self {
-        Self {
-            serial_secs: 0.0,
-            shuffle: ShuffleStats::default(),
-            tasks: TaskCounters::default(),
-            resumed: true,
         }
     }
 
@@ -481,18 +518,14 @@ pub struct DistJob<'a> {
     pub opts: M2tdOptions,
     /// Injected faults and the retry policy that answers them.
     pub faults: FaultConfig,
-    /// Phase-boundary checkpoints. Each completed phase persists its
-    /// output (phase 1: combined factors; phase 2: join tensor), and a
-    /// later run over the same inputs loads them instead of recomputing.
-    pub checkpoint: Option<&'a CheckpointStore>,
     /// Job-level resume and dead-letter queue. `None` fails the job on
-    /// the first exhausted task.
+    /// the first exhausted task and resumes nothing.
     pub recovery: Option<JobRecovery<'a>>,
 }
 
 impl<'a> DistJob<'a> {
     /// The fault-free job: default options, no injected faults, no
-    /// checkpoints, no recovery layer.
+    /// recovery layer.
     pub fn new(x1: &'a SparseTensor, x2: &'a SparseTensor, k: usize, ranks: &'a [usize]) -> Self {
         Self {
             x1,
@@ -501,7 +534,6 @@ impl<'a> DistJob<'a> {
             ranks,
             opts: M2tdOptions::default(),
             faults: FaultConfig::none(),
-            checkpoint: None,
             recovery: None,
         }
     }
@@ -515,15 +547,17 @@ impl<'a> DistJob<'a> {
     /// cells of each linear index class mod `W`, which is the one
     /// reduction whose order differs.
     ///
-    /// Phases resumed from [`checkpoint`](Self::checkpoint) report
-    /// `resumed = true` and all-zero [`TaskCounters`]. Without a
-    /// [`recovery`](Self::recovery) layer, a task killed on every allowed
-    /// attempt surfaces [`DistError::Exhausted`].
+    /// Without a [`recovery`](Self::recovery) layer, a task killed on
+    /// every allowed attempt surfaces [`DistError::Exhausted`].
     ///
     /// With one, every completed reduce task (with its serialized output)
     /// is appended to the input-fingerprinted [`ManifestLog`], so a process
     /// killed mid-phase and restarted over the same inputs re-runs only
-    /// incomplete tasks, and an exhausted task is parked in the
+    /// incomplete tasks. Phase 1 or 2 finished by an earlier run runs no
+    /// task at all, reporting `resumed = true` and all-zero
+    /// [`TaskCounters`]; phase 3 replays task by task, because its task
+    /// set depends on the worker count, which the input fingerprint does
+    /// not cover. An exhausted task is parked in the
     /// [`DlqStore`] with its envelope and attempt history instead of
     /// failing the job. Phases 1 and 2 still require full coverage (their
     /// outputs feed everything downstream), but phase 3 completes
@@ -535,7 +569,7 @@ impl<'a> DistJob<'a> {
     ///
     /// The determinism invariant: because tasks are pure, any fault
     /// schedule that eventually succeeds (including one interrupted and
-    /// resumed from checkpoints or the manifest) yields factors and core
+    /// resumed from the manifest) yields factors and core
     /// bitwise identical to the fault-free run, at every thread count.
     pub fn run(&self, engine: &MapReduce) -> Result<DistDecomposition, DistError> {
         let DistJob {
@@ -545,26 +579,23 @@ impl<'a> DistJob<'a> {
             ranks,
             opts,
             faults,
-            checkpoint,
             recovery,
         } = *self;
         let subs = [x1, x2];
         m2td_core::validate_inputs(&subs, k, ranks)?;
-        let plan = &faults.plan;
-        // Only checkpoints and the manifest read the fingerprint: a plain
-        // run never hashes its inputs.
-        let fp = (checkpoint.is_some() || recovery.is_some())
-            .then(|| Fingerprint::new(x1, x2, k, ranks, &opts));
-        let ckpt = checkpoint.zip(fp.as_ref());
         // Resume state: the previous run's manifest (absent or wrong-
-        // fingerprint logs degrade to a fresh one) plus drain tally.
-        let resume_state = match recovery.zip(fp.as_ref()) {
-            Some((r, fp)) => Some(ResumeState {
-                manifest: Mutex::new(r.manifest.resume(fp).map_err(DistError::Checkpoint)?),
-                drained: AtomicUsize::new(0),
-            }),
-            None => None,
-        };
+        // fingerprint logs degrade to a fresh one) plus drain tally. Only
+        // the manifest reads the fingerprint: a plain run never hashes its
+        // inputs.
+        let resume_state = recovery
+            .map(|r| -> Result<_, DistError> {
+                let fp = Fingerprint::new(x1, x2, k, ranks, &opts);
+                Ok(ResumeState {
+                    manifest: Mutex::new(r.manifest.resume(&fp).map_err(DistError::Manifest)?),
+                    drained: AtomicUsize::new(0),
+                })
+            })
+            .transpose()?;
         let phase_recovery = |job: u64, phase: u8| -> Option<PhaseRecovery<'_>> {
             match (recovery, &resume_state) {
                 (Some(r), Some(state)) => Some(PhaseRecovery {
@@ -576,27 +607,17 @@ impl<'a> DistJob<'a> {
                 _ => None,
             }
         };
+        let state = resume_state.as_ref();
         let mut resumed_tasks = 0;
-        let ckpt_factors = ckpt.and_then(|(c, fp)| c.load_phase1(fp));
-        let ckpt_join = ckpt.and_then(|(c, fp)| c.load_phase2(fp));
-        if checkpoint.is_some() && m2td_obs::installed() {
-            let hit = |found: bool| if found { "hits" } else { "misses" };
-            m2td_obs::counter_add(format!("ckpt.phase1.{}", hit(ckpt_factors.is_some())), 1);
-            m2td_obs::counter_add(format!("ckpt.phase2.{}", hit(ckpt_join.is_some())), 1);
-        }
 
         // Tagged entry stream: (κ, linear index, value), x1's entries then
         // x2's, each ascending. MapReduce hands every reducer its values in
-        // this order. Needed by whichever of phases 1 and 2 is not resumed
-        // from a checkpoint.
-        let tagged: Vec<(u8, u64, f64)> = if ckpt_factors.is_none() || ckpt_join.is_none() {
-            x1.iter_linear()
-                .map(|(l, v)| (1u8, l, v))
-                .chain(x2.iter_linear().map(|(l, v)| (2u8, l, v)))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // this order.
+        let tagged: Vec<(u8, u64, f64)> = x1
+            .iter_linear()
+            .map(|(l, v)| (1u8, l, v))
+            .chain(x2.iter_linear().map(|(l, v)| (2u8, l, v)))
+            .collect();
         let side = |kappa: u8| usize::from(kappa) - 1;
 
         // ---- Phase 1: parallel sub-tensor decomposition ---------------------
@@ -606,56 +627,35 @@ impl<'a> DistJob<'a> {
         // taxonomy regardless of which schedule ran.
         let span1 = m2td_obs::span!("phase1.decompose");
         let t1 = Instant::now();
-        let (factors, phase1) = match ckpt_factors {
-            Some(factors) => (factors, PhaseStats::resumed_from_checkpoint()),
-            None => {
-                let offsets = m2td_core::free_offsets(&subs, k);
-                let rec1 = phase_recovery(PHASE1_JOB, 1);
-                let sharded1 = engine.run(
-                    &job_spec(PHASE1_JOB, 1, &faults, &rec1),
-                    &tagged,
-                    subs.len(),
-                    |&(kappa, lin, v)| (side(kappa), (lin, v)),
-                    |s, entries: &[(u64, f64)]| -> TaskOutcome<(Vec<Matrix>, Vec<Matrix>)> {
-                        let compute = || -> Result<_, DistError> {
-                            let (indices, values) = entries.iter().copied().unzip();
-                            let x =
-                                SparseTensor::from_sorted_linear(subs[s].dims(), indices, values)?;
-                            Ok(m2td_core::phase1_side(&x, k, ranks, offsets[s])?)
-                        };
-                        compute().into()
-                    },
-                )?;
-                require_full_coverage(1, &sharded1)?;
-                resumed_tasks += sharded1.resumed;
-                let sides = sharded1
-                    .outputs
-                    .into_iter()
-                    .map(|(_, outcome)| outcome.into_result())
-                    .collect::<Result<Vec<_>, _>>()?;
-                if sides.len() != 2 {
-                    return Err(DistError::Invalid(
-                        "one of the sub-tensors is empty".to_string(),
-                    ));
-                }
-                let factors = m2td_core::assemble_factors(opts.combine, sides, k)?;
-                if let Some((c, fp)) = ckpt {
-                    c.save_phase1(fp, &factors).map_err(DistError::Checkpoint)?;
-                    // Corruption stream: damage the freshly published record
-                    // (models disk corruption after a successful write). This
-                    // run keeps its in-memory factors; the *next* run must
-                    // quarantine the record and recompute.
-                    if let Some(kind) = plan.ckpt_corruption(1) {
-                        c.corrupt(1, kind).map_err(DistError::Checkpoint)?;
-                    }
-                }
-                let secs = t1.elapsed().as_secs_f64();
-                (
-                    factors,
-                    PhaseStats::computed(secs, sharded1.stats, sharded1.counters),
-                )
-            }
-        };
+        let offsets = m2td_core::free_offsets(&subs, k);
+        let rec1 = phase_recovery(PHASE1_JOB, 1);
+        let (outcomes, ran1) = run_or_resume(state, 1, &mut resumed_tasks, || {
+            engine.run(
+                &job_spec(PHASE1_JOB, 1, &faults, &rec1),
+                &tagged,
+                subs.len(),
+                |&(kappa, lin, v)| (side(kappa), (lin, v)),
+                |s, entries: &[(u64, f64)]| -> TaskOutcome<(Vec<Matrix>, Vec<Matrix>)> {
+                    let compute = || -> Result<_, DistError> {
+                        let (indices, values) = entries.iter().copied().unzip();
+                        let x = SparseTensor::from_sorted_linear(subs[s].dims(), indices, values)?;
+                        Ok(m2td_core::phase1_side(&x, k, ranks, offsets[s])?)
+                    };
+                    compute().into()
+                },
+            )
+        })?;
+        let sides = outcomes
+            .into_iter()
+            .map(TaskOutcome::into_result)
+            .collect::<Result<Vec<_>, _>>()?;
+        if sides.len() != 2 {
+            return Err(DistError::Invalid(
+                "one of the sub-tensors is empty".to_string(),
+            ));
+        }
+        let factors = m2td_core::assemble_factors(opts.combine, sides, k)?;
+        let phase1 = PhaseStats::new(t1, ran1);
         drop(span1);
 
         // ---- Phase 2: parallel JE-stitching ---------------------------------
@@ -666,65 +666,38 @@ impl<'a> DistJob<'a> {
         let span2 = m2td_obs::span!("phase2.stitch");
         let t2 = Instant::now();
         let join_dims: Vec<usize> = x1.dims().iter().chain(&x2.dims()[k..]).copied().collect();
-        let (join, phase2) = match ckpt_join {
-            Some(join) => {
-                if join.dims() != join_dims.as_slice() {
-                    return Err(DistError::Invalid(format!(
-                        "checkpointed join tensor dims {:?} do not match expected {join_dims:?}",
-                        join.dims()
-                    )));
-                }
-                (join, PhaseStats::resumed_from_checkpoint())
-            }
-            None => {
-                let lattice = JoinLattice::new(&subs, k, opts.stitch);
-                let rec2 = phase_recovery(PHASE2_JOB, 2);
-                let pivots = x1.dims()[..k].iter().product();
-                let sharded2 = engine.run(
-                    &job_spec(PHASE2_JOB, 2, &faults, &rec2),
-                    &tagged,
-                    pivots,
-                    |&(kappa, lin, v)| {
-                        let (p, f) = lattice.locate(side(kappa), lin);
-                        (p as usize, (kappa, f, v))
-                    },
-                    |p, entries: &[(u8, u64, f64)]| -> Vec<(u64, f64)> {
-                        // x1's entries come first, each side's ascending.
-                        let (free, values): (Vec<u64>, Vec<f64>) =
-                            entries.iter().map(|&(_, f, v)| (f, v)).unzip();
-                        let x1_len = entries.iter().take_while(|e| e.0 == 1).count();
-                        let groups = [0..x1_len, x1_len..entries.len()].map(|r| PivotGroup {
-                            free: &free[r.clone()],
-                            values: &values[r],
-                        });
-                        let cells = lattice.cell_count(&groups);
-                        let (mut join_indices, mut join_values) =
-                            (Vec::with_capacity(cells), Vec::with_capacity(cells));
-                        lattice.emit_pivot(p as u64, &groups, &mut join_indices, &mut join_values);
-                        join_indices.into_iter().zip(join_values).collect()
-                    },
-                )?;
-                require_full_coverage(2, &sharded2)?;
-                resumed_tasks += sharded2.resumed;
-                let (indices, values) = sharded2
-                    .outputs
-                    .into_iter()
-                    .flat_map(|(_, cells)| cells)
-                    .unzip();
-                let join = SparseTensor::from_sorted_linear(&join_dims, indices, values)?;
-                if let Some((c, fp)) = ckpt {
-                    c.save_phase2(fp, &join).map_err(DistError::Checkpoint)?;
-                    if let Some(kind) = plan.ckpt_corruption(2) {
-                        c.corrupt(2, kind).map_err(DistError::Checkpoint)?;
-                    }
-                }
-                let secs = t2.elapsed().as_secs_f64();
-                (
-                    join,
-                    PhaseStats::computed(secs, sharded2.stats, sharded2.counters),
-                )
-            }
-        };
+        let lattice = JoinLattice::new(&subs, k, opts.stitch);
+        let rec2 = phase_recovery(PHASE2_JOB, 2);
+        let pivots = x1.dims()[..k].iter().product();
+        let (pivot_cells, ran2) = run_or_resume(state, 2, &mut resumed_tasks, || {
+            engine.run(
+                &job_spec(PHASE2_JOB, 2, &faults, &rec2),
+                &tagged,
+                pivots,
+                |&(kappa, lin, v)| {
+                    let (p, f) = lattice.locate(side(kappa), lin);
+                    (p as usize, (kappa, f, v))
+                },
+                |p, entries: &[(u8, u64, f64)]| -> Vec<(u64, f64)> {
+                    // x1's entries come first, each side's ascending.
+                    let (free, values): (Vec<u64>, Vec<f64>) =
+                        entries.iter().map(|&(_, f, v)| (f, v)).unzip();
+                    let x1_len = entries.iter().take_while(|e| e.0 == 1).count();
+                    let groups = [0..x1_len, x1_len..entries.len()].map(|r| PivotGroup {
+                        free: &free[r.clone()],
+                        values: &values[r],
+                    });
+                    let cells = lattice.cell_count(&groups);
+                    let (mut join_indices, mut join_values) =
+                        (Vec::with_capacity(cells), Vec::with_capacity(cells));
+                    lattice.emit_pivot(p as u64, &groups, &mut join_indices, &mut join_values);
+                    join_indices.into_iter().zip(join_values).collect()
+                },
+            )
+        })?;
+        let (indices, values) = pivot_cells.into_iter().flatten().unzip();
+        let join = SparseTensor::from_sorted_linear(&join_dims, indices, values)?;
+        let phase2 = PhaseStats::new(t2, ran2);
         drop(span2);
         m2td_core::check_join(&join)?;
 
@@ -786,8 +759,7 @@ impl<'a> DistJob<'a> {
         }
         let core = core
             .ok_or_else(|| DistError::Invalid("phase 3 produced no partial cores".to_string()))?;
-        let secs = t3.elapsed().as_secs_f64();
-        let phase3 = PhaseStats::computed(secs, sharded3.stats, sharded3.counters);
+        let phase3 = PhaseStats::new(t3, Some((sharded3.stats, sharded3.counters)));
         // Phase-3 boundary sentinel: the recovered core is the run's output;
         // a non-finite entry here is exactly the "silent garbage core" the
         // guard layer exists to prevent.
@@ -814,7 +786,7 @@ mod tests {
     use m2td_tensor::{CoreOrdering, Shape as TShape};
 
     /// A temp dir unique per process *and* per call, so concurrent test
-    /// binaries (or repeated runs within one) never share checkpoint state.
+    /// binaries (or repeated runs within one) never share manifest state.
     fn unique_tmp_dir(tag: &str) -> std::path::PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -1161,31 +1133,49 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_run_resumes_phases() {
-        let dir = unique_tmp_dir("m2td_dmtd_ckpt_unit");
+    fn manifest_resumed_run_skips_finished_phases() {
+        let dir = unique_tmp_dir("m2td_dmtd_manifest_unit");
         let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(&dir).unwrap();
+        let manifest = ManifestStore::open(&dir).unwrap();
+        let dlq = DlqStore::open(&dir);
         let (x1, x2) = sub_tensors(6, 5);
         let ranks = [3, 3, 3];
         let opts = M2tdOptions::default();
         let engine = MapReduce::new(2);
         let job = DistJob {
             opts,
-            checkpoint: Some(&store),
+            recovery: Some(JobRecovery::new(&manifest, &dlq)),
             ..DistJob::new(&x1, &x2, 1, &ranks)
         };
         let first = job.run(&engine).unwrap();
         assert!(!first.phase1.resumed && !first.phase2.resumed);
+        assert_eq!(first.resumed_tasks, 0);
         let second = job.run(&engine).unwrap();
         assert!(second.phase1.resumed && second.phase2.resumed);
         assert_eq!(second.phase1.tasks.attempts(), 0);
         assert_eq!(second.phase2.tasks.attempts(), 0);
         assert!(second.phase3.tasks.attempts() > 0);
+        // Every reduce task of the three phases replays from the manifest.
+        let groups = |d: &DistDecomposition| {
+            [&d.phase1, &d.phase2, &d.phase3].map(|p| p.shuffle.reduce_groups)
+        };
+        assert_eq!(second.resumed_tasks, groups(&first).iter().sum::<usize>());
+        assert_eq!(groups(&second), [0, 0, 2]);
         assert_eq!(
             first.tucker.core.as_slice(),
             second.tucker.core.as_slice(),
             "resumed core differs"
         );
+        // A recorded output that does not decode runs its phase again, and
+        // the engine recomputes only that task.
+        let fp = Fingerprint::new(&x1, &x2, 1, &ranks, &opts);
+        let mut log = manifest.resume(&fp).unwrap();
+        log.record_complete(1, 0, Json::Null).unwrap();
+        drop(log);
+        let third = job.run(&engine).unwrap();
+        assert!(!third.phase1.resumed && third.phase2.resumed);
+        assert_eq!(third.phase1.tasks.reduce_attempts, 1);
+        assert_eq!(first.tucker.core.as_slice(), third.tucker.core.as_slice());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

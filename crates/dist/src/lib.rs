@@ -22,16 +22,16 @@
 //! Fault tolerance (DESIGN.md §9): a [`DistJob`] with a [`FaultConfig`]
 //! runs the same dataflow under a seeded
 //! [`FaultPlan`](m2td_fault::FaultPlan) with retry/backoff and speculative
-//! re-execution, persisting phase boundaries to a [`CheckpointStore`] so
-//! interrupted runs resume instead of recomputing.
+//! re-execution.
 //!
 //! Sharded execution (DESIGN.md §14): tasks cross a [`ChannelTransport`]
 //! as checksummed [`TaskEnvelope`]s, are scheduled by a work-stealing wave
 //! scheduler, and — with a [`JobRecovery`] — exhausted tasks park in a
 //! [`DlqStore`] dead-letter queue while a [`JobManifest`] records
-//! per-phase completion for job-level resume.
+//! per-phase completion, so an interrupted run resumes instead of
+//! recomputing: a finished phase 1 or 2 runs no task, and every other
+//! phase re-runs only its unrecorded reduce tasks.
 
-mod checkpoint;
 mod cluster;
 mod dlq;
 mod dmtd;
@@ -40,13 +40,12 @@ mod mapreduce;
 mod scheduler;
 mod transport;
 
-pub use checkpoint::{CheckpointError, CheckpointStore, Fingerprint};
-pub use cluster::{ClusterModel, FailureModel, PhaseCost};
+pub use cluster::{ClusterModel, PhaseCost};
 pub use dlq::{DlqEntry, DlqStore};
 pub use dmtd::{
     d_m2td, DistDecomposition, DistError, DistJob, FaultConfig, JobRecovery, PhaseStats,
     PHASE1_JOB, PHASE2_JOB, PHASE3_JOB,
 };
-pub use manifest::{JobManifest, ManifestLog, ManifestStore, PhaseManifest};
+pub use manifest::{Fingerprint, JobManifest, ManifestLog, ManifestStore, PhaseManifest};
 pub use mapreduce::{JobOutput, JobSpec, MapReduce, ShuffleStats};
 pub use transport::{ChannelTransport, TaskEnvelope, TransportError, TransportKind};

@@ -7,11 +7,14 @@
 //! their stored outputs, skips dead tasks that were not requeued, and
 //! re-runs only the remainder. Map tasks are never recorded — a map
 //! re-run is cheap, deterministic, and required anyway to rebuild the
-//! shuffle groups the surviving reduce tasks consume.
+//! shuffle groups the surviving reduce tasks consume. A phase-1 or
+//! phase-2 job the manifest records as finished
+//! ([`PhaseManifest::finished_outputs`]) runs no task at all: the driver
+//! rebuilds the phase's result from the recorded outputs alone.
 //!
 //! ## Append-only log (format v3)
 //!
-//! `manifest.json` in the checkpoint directory is a [`SealedLog`]: one
+//! `manifest.json` in the job directory is a [`SealedLog`]: one
 //! sealed record per line (see [`m2td_guard::integrity`]), each verified
 //! before its body is parsed. Record 0 holds the input [`Fingerprint`];
 //! every later record is one event — `begin` (a phase's task total),
@@ -30,11 +33,80 @@
 //! events and quarantines the file to `manifest.quarantined.<n>.json`
 //! (counted in `manifest.log_quarantined`).
 
-use crate::checkpoint::Fingerprint;
+use m2td_core::M2tdOptions;
 use m2td_guard::integrity::{SealedFiles, SealedLog};
 use m2td_json::{FromJson, Json, ToJson};
+use m2td_tensor::SparseTensor;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+
+/// Identity of one D-M2TD invocation: a manifest is only resumed when
+/// every field matches, including a content hash of both entry streams.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fingerprint {
+    dims1: Vec<usize>,
+    dims2: Vec<usize>,
+    k: usize,
+    ranks: Vec<usize>,
+    options: String,
+    content_hash: u64,
+}
+
+/// Folds one `(linear index, value)` entry into a running splitmix hash.
+fn fold_entry(acc: u64, lin: u64, value: f64) -> u64 {
+    let mut z = acc
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(lin)
+        .wrapping_add(value.to_bits().rotate_left(17));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z ^ (z >> 31)
+}
+
+impl Fingerprint {
+    /// Fingerprints a D-M2TD invocation.
+    pub fn new(
+        x1: &SparseTensor,
+        x2: &SparseTensor,
+        k: usize,
+        ranks: &[usize],
+        opts: &M2tdOptions,
+    ) -> Self {
+        let mut h = 0x4d32_5444u64; // "M2TD"
+        for (lin, v) in x1.iter_linear() {
+            h = fold_entry(h, lin, v);
+        }
+        h = h.rotate_left(32);
+        for (lin, v) in x2.iter_linear() {
+            h = fold_entry(h, lin, v);
+        }
+        Self {
+            dims1: x1.dims().to_vec(),
+            dims2: x2.dims().to_vec(),
+            k,
+            ranks: ranks.to_vec(),
+            options: format!("{opts:?}"),
+            content_hash: h,
+        }
+    }
+}
+
+impl ToJson for Fingerprint {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("dims1".to_string(), self.dims1.to_json()),
+            ("dims2".to_string(), self.dims2.to_json()),
+            ("k".to_string(), self.k.to_json()),
+            ("ranks".to_string(), self.ranks.to_json()),
+            ("options".to_string(), self.options.to_json()),
+            // Bit-cast through i64: the hash uses all 64 bits, and
+            // `Json::Int` is an i64.
+            (
+                "content_hash".to_string(),
+                Json::Int(self.content_hash as i64),
+            ),
+        ])
+    }
+}
 
 /// Completion bookkeeping for one phase.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -45,6 +117,18 @@ pub struct PhaseManifest {
     pub completed: BTreeMap<u64, Json>,
     /// Reduce tasks whose retry budget was exhausted (parked in the DLQ).
     pub dead: BTreeSet<u64>,
+}
+
+impl PhaseManifest {
+    /// The recorded outputs in task order, if the phase finished: it
+    /// scheduled at least one task, every task `0..total` completed and
+    /// none is dead.
+    pub fn finished_outputs(&self) -> Option<impl Iterator<Item = &Json>> {
+        let finished = self.total > 0
+            && self.dead.is_empty()
+            && self.completed.keys().copied().eq(0..self.total);
+        finished.then(|| self.completed.values())
+    }
 }
 
 /// Per-phase completion state of one job over one set of inputs.
@@ -170,14 +254,14 @@ impl JobManifest {
     }
 }
 
-/// The manifest log of a checkpoint directory.
+/// The manifest log of a job directory.
 #[derive(Debug, Clone)]
 pub struct ManifestStore {
     files: SealedFiles,
 }
 
 impl ManifestStore {
-    /// File name of the manifest log inside a checkpoint directory.
+    /// File name of the manifest log inside a job directory.
     pub const FILE_NAME: &'static str = "manifest.json";
 
     /// Opens the store rooted at `dir`, creating the directory if needed.
@@ -270,9 +354,7 @@ impl ManifestLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m2td_core::M2tdOptions;
     use m2td_linalg::Matrix;
-    use m2td_tensor::SparseTensor;
     use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -360,6 +442,41 @@ mod tests {
             64
         );
         assert_eq!(lines(&store).len(), 1 + 1 + 64);
+    }
+
+    #[test]
+    fn fingerprint_json_keeps_the_high_hash_bit() {
+        // Content hashes use all 64 bits; serialization must not lose the
+        // high bit through `Json::Int`'s i64.
+        let fp = |content_hash| Fingerprint {
+            dims1: vec![2],
+            dims2: vec![2],
+            k: 1,
+            ranks: vec![1, 1, 1],
+            options: "opts".to_string(),
+            content_hash,
+        };
+        let high = u64::MAX - 3;
+        assert_ne!(fp(high).to_json(), fp(high & !(1 << 63)).to_json());
+        assert_eq!(fp(high).to_json(), fp(high).to_json());
+    }
+
+    #[test]
+    fn a_phase_is_finished_only_with_every_task_complete_and_none_dead() {
+        let mut m = sample();
+        let outputs = |m: &JobManifest, phase| {
+            let outputs = m.phases[&phase].finished_outputs()?;
+            Some(outputs.cloned().collect::<Vec<_>>())
+        };
+        // Phase 1: task 1 is dead; phase 3: four of five tasks missing.
+        assert_eq!(outputs(&m, 1), None);
+        assert_eq!(outputs(&m, 3), None);
+        m.record_complete(1, 1, Json::Str("out1".to_string()));
+        let done = ["out0", "out1", "out2"].map(|s| Json::Str(s.to_string()));
+        assert_eq!(outputs(&m, 1), Some(done.to_vec()));
+        // A begun phase with no tasks has nothing to resume.
+        m.begin_phase(2, 0);
+        assert_eq!(outputs(&m, 2), None);
     }
 
     #[test]

@@ -68,10 +68,11 @@ impl fmt::Display for TaskKind {
     }
 }
 
-/// A checkpoint mutation injected by the corruption stream. Each kind
-/// models a distinct real-world failure: a flipped bit on disk, a torn
-/// (partial) write that survived a crash, and a record written by an older
-/// incompatible format.
+/// A mutation of a durable record or an envelope in flight, injected by
+/// the wire stream ([`FaultPlan::wire_corruption`]) and by chaos tests.
+/// Each kind models a distinct real-world failure: a flipped bit on disk
+/// or wire, a torn (partial) write that survived a crash, and a record
+/// written by an older incompatible format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CorruptionKind {
     /// Flip one bit somewhere in the record body.
@@ -194,9 +195,6 @@ pub struct FaultPlan {
     /// Upper bound on consecutive kills injected into one task;
     /// `u32::MAX` disables the cap (useful to force retry exhaustion).
     pub kill_cap: u32,
-    /// Probability that a freshly written phase checkpoint is corrupted
-    /// on "disk" (the corruption stream; see [`FaultPlan::ckpt_corruption`]).
-    pub ckpt_corrupt_rate: f64,
     /// Probability that one simulated cell value is replaced by NaN before
     /// decomposition (models a diverged solver writing garbage output that
     /// passes the scheduler but poisons the numerics).
@@ -232,7 +230,6 @@ impl FaultPlan {
             straggle_secs: 0.0,
             sim_fail_rate: 0.0,
             kill_cap: 2,
-            ckpt_corrupt_rate: 0.0,
             nan_cell_rate: 0.0,
             xport_corrupt_rate: 0.0,
             crash_rate: 0.0,
@@ -271,12 +268,6 @@ impl FaultPlan {
     /// Replaces the consecutive-kill cap.
     pub fn with_kill_cap(mut self, cap: u32) -> Self {
         self.kill_cap = cap;
-        self
-    }
-
-    /// Sets the checkpoint-corruption rate of the corruption stream.
-    pub fn with_ckpt_corrupt_rate(mut self, rate: f64) -> Self {
-        self.ckpt_corrupt_rate = rate;
         self
     }
 
@@ -364,28 +355,6 @@ impl FaultPlan {
         fails
     }
 
-    /// The corruption (if any) the stream injects into the checkpoint of
-    /// phase `phase`. Pure in its arguments: the first draw decides *if*
-    /// the record is corrupted at `ckpt_corrupt_rate`, a second independent
-    /// draw picks *which* [`CorruptionKind`]. Injections bump the
-    /// `fault.ckpt_corruptions_injected` counter when an `m2td-obs`
-    /// subscriber is installed.
-    pub fn ckpt_corruption(&self, phase: u64) -> Option<CorruptionKind> {
-        if uniform(self.seed, STREAM_CKPT, phase, 0, SALT_CORRUPT) >= self.ckpt_corrupt_rate {
-            return None;
-        }
-        let pick = uniform(self.seed, STREAM_CKPT, phase, 1, SALT_CORRUPT);
-        let kind = if pick < 1.0 / 3.0 {
-            CorruptionKind::BitFlip
-        } else if pick < 2.0 / 3.0 {
-            CorruptionKind::Truncate
-        } else {
-            CorruptionKind::StaleVersion
-        };
-        m2td_obs::counter_add("fault.ckpt_corruptions_injected", 1);
-        Some(kind)
-    }
-
     /// The corruption (if any) the wire stream injects into a serialized
     /// task envelope in flight. `leg` distinguishes the two crossings of
     /// one attempt (0 = task dispatch, 1 = result return) so they draw
@@ -465,12 +434,10 @@ impl FaultPlan {
 const SALT_KILL: u64 = 0x4b49_4c4c;
 /// See [`SALT_KILL`].
 const SALT_STRAGGLE: u64 = 0x5354_5247;
-/// Salt of the checkpoint-corruption stream ("CRPT").
+/// Salt of the wire-corruption stream ("CRPT").
 const SALT_CORRUPT: u64 = 0x4352_5054;
 /// Salt of the NaN-cell injection stream ("NANC").
 const SALT_NANCELL: u64 = 0x4e41_4e43;
-/// Stream id for checkpoint-corruption draws (not tied to any job).
-const STREAM_CKPT: u64 = 0x636b_7074;
 /// Stream id for in-flight envelope corruption draws ("xprt").
 const STREAM_XPORT: u64 = 0x7870_7274;
 /// Salt of the retry-jitter stream ("JTTR").
@@ -600,7 +567,7 @@ impl RetryPolicy {
 
 /// Execution counters accumulated by a fault-aware engine while running
 /// one job (or one D-M2TD phase). These are the observable trace of the
-/// failure model: tests pin checkpoint resumes and speculation on them.
+/// failure model: tests pin manifest resumes and speculation on them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TaskCounters {
     /// Map-task attempts actually executed (including killed ones).
@@ -911,37 +878,6 @@ mod tests {
         assert_eq!(a.attempts(), 6);
         assert_eq!(a.kills(), 1);
         assert_eq!(a.virtual_lost_secs, 2.0);
-    }
-
-    #[test]
-    fn corruption_stream_is_deterministic_and_honours_rate() {
-        let plan = FaultPlan::none().with_ckpt_corrupt_rate(0.5);
-        let plan = FaultPlan { seed: 13, ..plan };
-        let mut hits = 0usize;
-        for phase in 0..2_000u64 {
-            let a = plan.ckpt_corruption(phase);
-            let b = plan.ckpt_corruption(phase);
-            assert_eq!(a, b, "corruption draws must be pure");
-            if a.is_some() {
-                hits += 1;
-            }
-        }
-        let frac = hits as f64 / 2_000.0;
-        assert!((frac - 0.5).abs() < 0.05, "corruption fraction {frac}");
-        // All three kinds appear under a rate-1 stream.
-        let all = FaultPlan {
-            seed: 13,
-            ..FaultPlan::none().with_ckpt_corrupt_rate(1.0)
-        };
-        let kinds: std::collections::HashSet<_> =
-            (0..100u64).filter_map(|p| all.ckpt_corruption(p)).collect();
-        assert_eq!(
-            kinds.len(),
-            3,
-            "expected every CorruptionKind, got {kinds:?}"
-        );
-        // Zero-rate plans never corrupt.
-        assert_eq!(FaultPlan::none().ckpt_corruption(1), None);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The one durable-record codec of the workspace (format v3).
 //!
-//! Every durable artifact — D-M2TD phase checkpoints, the job manifest,
-//! the dead-letter queue, and the serve layer's snapshots and write-ahead
-//! log — is made of one record frame:
+//! Every durable artifact — the D-M2TD job manifest, the dead-letter
+//! queue, and the serve layer's snapshots and write-ahead log — is made
+//! of one record frame:
 //!
 //! ```text
 //! {"version":3,"checksum":-4311459447823561209}\t{"seq":7,"op":"refresh","name":"a"}
@@ -534,6 +534,47 @@ mod tests {
     }
 
     #[test]
+    fn racing_handles_neither_tear_nor_double_quarantine() {
+        let dir = tmp_dir("race");
+        let handles = [0, 1].map(|_| SealedFiles::new(&dir, "guard.test", &["rec"]));
+        let load = |files: &SealedFiles| files.load("rec.json", |b| Ok(Some(b)));
+        let start = std::sync::Barrier::new(handles.len());
+        let start = &start;
+        // Interleaved publishes from two handles (a restarted job racing
+        // its predecessor) never tear: each write goes through its own
+        // uniquely named temp file.
+        std::thread::scope(|s| {
+            for files in &handles {
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..32 {
+                        files.publish("rec.json", &body()).unwrap();
+                    }
+                });
+            }
+        });
+        for files in &handles {
+            assert_eq!(load(files), Ok(Some(body())));
+        }
+        // Damage both handles see at once is quarantined exactly once: the
+        // losing rename must not mint a second copy.
+        assert!(handles[0]
+            .corrupt("rec.json", CorruptionKind::Truncate)
+            .unwrap());
+        std::thread::scope(|s| {
+            for files in &handles {
+                s.spawn(move || {
+                    start.wait();
+                    assert_ne!(load(files), Ok(Some(body())));
+                });
+            }
+        });
+        assert!(!handles[0].path("rec.json").exists());
+        let quarantined = handles[0].quarantined("rec");
+        assert_eq!(quarantined.len(), 1, "double-quarantined: {quarantined:?}");
+    }
+
+    #[test]
     fn log_reads_the_verified_prefix_and_classifies_damage() {
         let path = tmp_dir("log").join("x.log");
         let mut log = SealedLog::open(&path, 2).unwrap();
@@ -571,13 +612,13 @@ mod tests {
         assert!(all(&path.with_extension("absent")).records.is_empty());
     }
 
-    /// One test covering both real call-site naming schemes: the dist
-    /// checkpoint store's `phase<N>.quarantined.<seq>.json` family and the
-    /// serve snapshot store's `snapshot.<seq>.json` family share this
-    /// sweep.
+    /// One test covering both real call-site naming schemes: the
+    /// quarantine family `<stem>.quarantined.<seq>.json` of every sealed
+    /// store and the serve snapshot store's `snapshot.<seq>.json` family
+    /// share this sweep.
     #[test]
     fn sweep_retention_keeps_newest_for_both_naming_schemes() {
-        for prefix in ["phase1.quarantined.", "snapshot."] {
+        for prefix in ["manifest.quarantined.", "snapshot."] {
             let dir = tmp_dir(&format!("sweep_{}", prefix.trim_end_matches('.')));
             for seq in 1..=6u64 {
                 std::fs::write(dir.join(format!("{prefix}{seq}.json")), "x").unwrap();

@@ -1,8 +1,8 @@
 //! # m2td-guard — numerical guard rails for the M2TD pipeline
 //!
 //! A rank-deficient Gram matrix, a NaN leaking out of an ill-conditioned
-//! eigensolve, or a corrupted checkpoint will silently poison the stitched
-//! join tensor and the recovered core. This crate is the *validation*
+//! eigensolve, or a corrupted durable record will silently poison the
+//! stitched join tensor and the recovered core. This crate is the *validation*
 //! layer: it detects those conditions where they arise and either repairs
 //! them under a configured [`GuardPolicy`] or fails loudly with a
 //! structured [`GuardError`] naming the detection site — never letting a
@@ -39,8 +39,9 @@
 //! Every detection is mirrored into `m2td-obs` (when its subscriber is
 //! installed) under the `guard.*` namespace: `guard.nonfinite`,
 //! `guard.rank_deficient`, `guard.rank_clamped`, `guard.ill_conditioned`,
-//! `guard.regularized`, `guard.budget_exceeded`, and (bumped by
-//! `m2td-dist`) `guard.ckpt_quarantined`.
+//! `guard.regularized` and `guard.budget_exceeded`. Damaged durable
+//! records are counted by the store that quarantines them (see
+//! [`integrity::SealedFiles`]), e.g. `manifest.log_quarantined`.
 
 pub mod integrity;
 

@@ -832,7 +832,7 @@ mod tests {
 
     #[test]
     fn writer_emits_golden_bytes() {
-        // Every checkpoint, manifest, DLQ, WAL and snapshot file is this
+        // Every manifest, DLQ, WAL and snapshot file is this
         // writer's output, so its bytes are a format: pin them exactly.
         // The document mixes integral and extreme floats, `-0.0`, `NaN`,
         // `i64` extremes, every escape, a raw `DEL` (written unescaped)

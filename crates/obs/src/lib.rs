@@ -8,8 +8,8 @@
 //!   time, *self* time (total minus time spent in nested spans on the same
 //!   thread), and the maximum nesting depth observed.
 //! * **Counters** — monotonically increasing `u64` totals
-//!   ([`counter_add`]): retries, speculative launches, checkpoint
-//!   hits/misses, injected faults.
+//!   ([`counter_add`]): retries, speculative launches, resumed tasks,
+//!   injected faults.
 //! * **Gauges** — last-value / accumulated `f64` levels ([`gauge_set`],
 //!   [`gauge_add`]): effective thread count, missing-cell coverage,
 //!   virtual time lost to stragglers.

@@ -19,13 +19,6 @@ use std::fmt;
 /// Errors produced while building ensembles.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// The parameter space does not match the system's parameter count.
-    ParamCountMismatch {
-        /// What the system expects.
-        expected: usize,
-        /// What the space provides.
-        got: usize,
-    },
     /// A plan index was outside the ensemble tensor.
     Tensor(TensorError),
 }
@@ -33,10 +26,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::ParamCountMismatch { expected, got } => write!(
-                f,
-                "system expects {expected} parameters but the space has {got}"
-            ),
             SimError::Tensor(e) => write!(f, "tensor error: {e}"),
         }
     }
@@ -46,7 +35,6 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Tensor(e) => Some(e),
-            _ => None,
         }
     }
 }
@@ -82,8 +70,8 @@ pub trait EnsembleSystem: Sync {
 
 /// Builds ensemble tensors for one `(system, space, time grid)` triple.
 ///
-/// The *observed system* defaults to the simulation at the middle of every
-/// parameter axis; [`EnsembleBuilder::with_observed_indices`] overrides it.
+/// The *observed system* is the simulation at the middle of every
+/// parameter axis.
 /// Trajectories are cached per parameter combination, and the number of
 /// distinct simulations actually run is tracked so experiment harnesses can
 /// report the paper's simulation-budget accounting.
@@ -122,28 +110,6 @@ impl<'a, S: EnsembleSystem + ?Sized> EnsembleBuilder<'a, S> {
         self.noise_sigma = sigma;
         self.noise_seed = seed;
         self
-    }
-
-    /// Replaces the observed reference system with the simulation at the
-    /// given parameter indices.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::ParamCountMismatch`] if `indices` does not have one
-    ///   entry per parameter axis.
-    /// * [`SimError::Tensor`] wrapping [`TensorError::IndexOutOfBounds`] if
-    ///   an index is not below its axis's resolution.
-    pub fn with_observed_indices(mut self, indices: &[usize]) -> Result<Self, SimError> {
-        if indices.len() != self.space.num_params() {
-            return Err(SimError::ParamCountMismatch {
-                expected: self.space.num_params(),
-                got: indices.len(),
-            });
-        }
-        Shape::new(&self.space.resolutions()).check_index(indices)?;
-        let params = self.space.values_at(indices);
-        self.observed = self.system.simulate(&params, self.grid);
-        Ok(self)
     }
 
     /// The underlying parameter space.
@@ -268,7 +234,7 @@ fn gaussian_for_cell(seed: u64, cell: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::systems::{Lorenz, Sir};
+    use crate::systems::Sir;
 
     fn setup() -> (Sir, ParameterSpace, TimeGrid) {
         let sys = Sir;
@@ -394,45 +360,5 @@ mod tests {
         let var: f64 = draws.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "variance {var}");
-    }
-
-    #[test]
-    fn observed_override_changes_values() {
-        let sys = Lorenz::default();
-        let space = sys.default_space(3);
-        let grid = TimeGrid::new(1.0, 3, 20);
-        let default_b = EnsembleBuilder::new(&sys, &space, &grid);
-        let override_b = EnsembleBuilder::new(&sys, &space, &grid)
-            .with_observed_indices(&[0, 0, 0, 0])
-            .unwrap();
-        let cell = vec![2, 2, 2, 2, 2];
-        let (xd, _) = default_b.build_sparse(std::slice::from_ref(&cell)).unwrap();
-        let (xo, _) = override_b
-            .build_sparse(std::slice::from_ref(&cell))
-            .unwrap();
-        assert_ne!(xd.get(&cell), xo.get(&cell));
-        // Wrong index length errors.
-        assert!(EnsembleBuilder::new(&sys, &space, &grid)
-            .with_observed_indices(&[0, 0])
-            .is_err());
-    }
-
-    #[test]
-    fn observed_index_out_of_range_is_an_error_not_a_panic() {
-        let (sys, space, grid) = setup();
-        for bad in [[0, 0, 3, 0], [0, 0, 0, usize::MAX]] {
-            match EnsembleBuilder::new(&sys, &space, &grid).with_observed_indices(&bad) {
-                Err(SimError::Tensor(TensorError::IndexOutOfBounds { index, shape })) => {
-                    assert_eq!(index, bad.to_vec());
-                    assert_eq!(shape, vec![3, 3, 3, 3]);
-                }
-                Err(other) => panic!("expected IndexOutOfBounds, got {other}"),
-                Ok(_) => panic!("index {bad:?} accepted"),
-            }
-        }
-        // The last in-range index is still accepted.
-        assert!(EnsembleBuilder::new(&sys, &space, &grid)
-            .with_observed_indices(&[2, 2, 2, 2])
-            .is_ok());
     }
 }

@@ -1,6 +1,6 @@
-//! Seeded mutation of every decoder of bytes from disk or the wire: a
-//! checkpoint phase file, the job manifest log, `dlq.json`, the serve
-//! `wal.log` and a snapshot, a `TaskEnvelope` frame, and `Json::parse`.
+//! Seeded mutation of every decoder of bytes from disk or the wire: the
+//! job manifest log, `dlq.json`, the serve `wal.log` and a snapshot, a
+//! `TaskEnvelope` frame, and `Json::parse`.
 //!
 //! Each artifact takes a few hundred mutations drawn from `crates/rand`:
 //! flip any bit (high bits included), truncate at any offset, delete or
@@ -20,9 +20,7 @@
 //! failing case replays exactly.
 
 use m2td::core::M2tdOptions;
-use m2td::dist::{
-    CheckpointStore, DlqEntry, DlqStore, Fingerprint, JobManifest, ManifestStore, TaskEnvelope,
-};
+use m2td::dist::{DlqEntry, DlqStore, Fingerprint, JobManifest, ManifestStore, TaskEnvelope};
 use m2td::fault::TaskKind;
 use m2td::guard::integrity::fnv1a64;
 use m2td::json::Json;
@@ -148,7 +146,7 @@ fn clear_quarantine(dir: &Path) -> usize {
     n
 }
 
-fn tensors() -> (SparseTensor, SparseTensor) {
+fn fingerprint() -> Fingerprint {
     let x1 = SparseTensor::from_entries(
         &[3, 2, 2],
         &[
@@ -159,31 +157,7 @@ fn tensors() -> (SparseTensor, SparseTensor) {
     )
     .unwrap();
     let x2 = SparseTensor::from_entries(&[3, 2], &[(vec![1, 1], 2.0)]).unwrap();
-    (x1, x2)
-}
-
-fn fingerprint() -> Fingerprint {
-    let (x1, x2) = tensors();
     Fingerprint::new(&x1, &x2, 1, &[2, 2, 2, 2], &M2tdOptions::default())
-}
-
-#[test]
-fn checkpoint_phase_files_load_equal_or_quarantine() {
-    let dir = tmp_dir("checkpoint");
-    let store = CheckpointStore::new(&dir).unwrap();
-    let (join, _) = tensors();
-    let fp = fingerprint();
-    store.save_phase2(&fp, &join).unwrap();
-    let path = dir.join("phase2.json");
-    let original = std::fs::read(&path).unwrap();
-    for_each_mutation("checkpoint", &original, |mutated, ctx| {
-        std::fs::write(&path, mutated).unwrap();
-        match store.load_phase2(&fp) {
-            Some(loaded) => assert_eq!(loaded, join, "{ctx}: loaded another tensor"),
-            None => assert!(!path.exists(), "{ctx}: rejected but not quarantined"),
-        }
-        store.clear().unwrap();
-    });
 }
 
 #[test]

@@ -1,9 +1,8 @@
 //! The fault-tolerance determinism contract: because every map/reduce
 //! task is pure, any seeded fault schedule that eventually succeeds must
 //! yield factors and core **bitwise identical** to the fault-free run, at
-//! every worker count — and a checkpointed run interrupted in phase 3
-//! must resume from persisted phase-1/2 artifacts without recomputing
-//! them.
+//! every worker count — and a run interrupted in phase 3 must resume
+//! phases 1 and 2 from the job manifest without recomputing them.
 //!
 //! CI runs this file under `M2TD_THREADS=1` and `M2TD_THREADS=4` with two
 //! values of `M2TD_FAULT_SEED`, so the same assertions are exercised
@@ -11,8 +10,8 @@
 
 use m2td::core::M2tdOptions;
 use m2td::dist::{
-    d_m2td, CheckpointStore, DistDecomposition, DistError, DistJob, DlqStore, FaultConfig,
-    JobRecovery, ManifestStore, MapReduce, TransportKind, PHASE3_JOB,
+    d_m2td, DistDecomposition, DistError, DistJob, DlqStore, FaultConfig, JobRecovery,
+    ManifestStore, MapReduce, TransportKind, PHASE3_JOB,
 };
 use m2td::fault::{FaultPlan, RetryPolicy};
 use m2td::tensor::{Shape, SparseTensor};
@@ -183,14 +182,18 @@ fn unique_tmp_dir(tag: &str) -> std::path::PathBuf {
 fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
     let dir = unique_tmp_dir("m2td_ckpt_resume");
     let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::new(&dir).unwrap();
+    let manifest = ManifestStore::open(&dir).unwrap();
+    let dlq = DlqStore::open(&dir);
+    let recovery = Some(JobRecovery::new(&manifest, &dlq));
     let (x1, x2) = sub_tensors();
     let opts = M2tdOptions::default();
     let engine = MapReduce::new(2);
     let clean = d_m2td(&x1, &x2, K, &RANKS, opts, &engine).unwrap();
 
     // First attempt: phase 3 is unconditionally killed with no retries, so
-    // the run dies *after* phases 1 and 2 persisted their checkpoints.
+    // the run dies *after* the manifest recorded every task of phases 1
+    // and 2. The kills reach phase 3's map tasks too, and a map task is
+    // never parked, so the recovery layer cannot absorb them.
     let lethal = FaultConfig {
         plan: FaultPlan::new(12, 1.0, 0.0, 0.0)
             .in_job(PHASE3_JOB)
@@ -200,7 +203,7 @@ fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
     let err = DistJob {
         opts,
         faults: lethal,
-        checkpoint: Some(&store),
+        recovery,
         ..DistJob::new(&x1, &x2, K, &RANKS)
     }
     .run(&engine)
@@ -211,11 +214,11 @@ fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
     );
 
     // Second attempt, fault-free: phases 1–2 must resume from the
-    // checkpoints (zero task executions), phase 3 recomputes, and the
+    // manifest (zero task executions), phase 3 recomputes, and the
     // result is bitwise identical to the never-failed run.
     let resumed = DistJob {
         opts,
-        checkpoint: Some(&store),
+        recovery,
         ..DistJob::new(&x1, &x2, K, &RANKS)
     }
     .run(&engine)
@@ -246,7 +249,7 @@ fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
     let x1b = SparseTensor::from_entries(x1.dims(), &entries).unwrap();
     let fresh = DistJob {
         opts,
-        checkpoint: Some(&store),
+        recovery,
         ..DistJob::new(&x1b, &x2, K, &RANKS)
     }
     .run(&engine)
@@ -260,7 +263,6 @@ fn phase3_failure_resumes_from_checkpoints_without_recomputing() {
 fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
     let dir = unique_tmp_dir("m2td_job_resume");
     let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::new(&dir).unwrap();
     let manifest = ManifestStore::open(&dir).unwrap();
     let dlq = DlqStore::open(&dir);
     let (x1, x2) = sub_tensors();
@@ -280,7 +282,6 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
     let err = DistJob {
         opts,
         faults: lethal,
-        checkpoint: Some(&store),
         recovery: Some(strict),
         ..DistJob::new(&x1, &x2, K, &RANKS)
     }
@@ -298,7 +299,6 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
     let recovery = JobRecovery::new(&manifest, &dlq);
     let degraded = DistJob {
         opts,
-        checkpoint: Some(&store),
         recovery: Some(recovery),
         ..DistJob::new(&x1, &x2, K, &RANKS)
     }
@@ -321,7 +321,6 @@ fn interrupted_phase3_resumes_from_manifest_and_drains_the_dlq() {
     assert_eq!(dlq.requeue_all().unwrap(), 1);
     let resumed = DistJob {
         opts,
-        checkpoint: Some(&store),
         recovery: Some(recovery),
         ..DistJob::new(&x1, &x2, K, &RANKS)
     }

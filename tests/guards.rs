@@ -4,9 +4,10 @@
 //!    offending site and index — never propagated into a garbage core.
 //! 2. The `ClampRank` policy turns a rank-deficient ensemble into a
 //!    narrower decomposition that still passes the acceptance budget.
-//! 3. Every checkpoint corruption kind (bit-flip, truncation, stale
-//!    version) is quarantined on load and the recomputed core is bitwise
-//!    identical to an uncorrupted run.
+//! 3. Every corruption kind (bit-flip, truncation, stale version) of the
+//!    job manifest loses only resumable work: damage before the last
+//!    record quarantines the log, a torn tail is dropped, and the rerun
+//!    recomputes what was lost, bitwise identical to an uncorrupted run.
 //! 4. When the guard is *not* installed, nothing changes: results are
 //!    bitwise identical and no `guard.*` counter is ever emitted (the
 //!    uninstalled path is a single relaxed atomic load).
@@ -15,8 +16,11 @@
 //! that installs either serializes on [`lock`] and uninstalls on drop.
 
 use m2td::core::{m2td_decompose, CoreError, M2tdOptions};
-use m2td::dist::{d_m2td, CheckpointStore, DistDecomposition, DistJob, FaultConfig, MapReduce};
-use m2td::fault::{CorruptionKind, FaultPlan, RetryPolicy};
+use m2td::dist::{
+    d_m2td, DistDecomposition, DistJob, DlqStore, JobRecovery, ManifestStore, MapReduce,
+};
+use m2td::fault::CorruptionKind;
+use m2td::guard::integrity::SealedFiles;
 use m2td::guard::{GuardConfig, GuardError, GuardPolicy, NonFiniteKind};
 use m2td::tensor::{Shape, SparseTensor};
 use std::sync::Mutex;
@@ -249,95 +253,47 @@ fn every_corruption_kind_quarantines_and_recomputes_bitwise_identically() {
     ] {
         let dir = unique_tmp_dir("m2td_guard_corrupt");
         let _ = std::fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(&dir).unwrap();
-
-        // Clean checkpointed run, then damage both phase records on disk.
-        let first = DistJob {
+        let manifest = ManifestStore::open(&dir).unwrap();
+        let dlq = DlqStore::open(&dir);
+        let job = DistJob {
             opts,
-            checkpoint: Some(&store),
+            recovery: Some(JobRecovery::new(&manifest, &dlq)),
             ..DistJob::new(&x1, &x2, 1, &[3, 3, 3])
-        }
-        .run(&engine)
-        .unwrap();
+        };
+
+        // A clean run records every task; a rerun over the undamaged log
+        // replays all of them.
+        let first = job.run(&engine).unwrap();
         assert_bitwise_equal(&reference, &first, &format!("{kind}: clean run"));
-        assert!(store.corrupt(1, kind).unwrap());
-        assert!(store.corrupt(2, kind).unwrap());
+        let undamaged = job.run(&engine).unwrap().resumed_tasks;
 
+        // Damage the log on disk, then resume from whatever survives.
+        let files = SealedFiles::new(&dir, "manifest.log", &["manifest"]);
+        assert!(files.corrupt(ManifestStore::FILE_NAME, kind).unwrap());
         m2td::obs::reset();
-        let recovered = DistJob {
-            opts,
-            checkpoint: Some(&store),
-            ..DistJob::new(&x1, &x2, 1, &[3, 3, 3])
-        }
-        .run(&engine)
-        .unwrap();
+        let recovered = job.run(&engine).unwrap();
+        assert_bitwise_equal(&reference, &recovered, &format!("{kind}: resumed run"));
         assert!(
-            !recovered.phase1.resumed && !recovered.phase2.resumed,
-            "{kind}: a corrupted checkpoint must not be resumed from"
+            recovered.resumed_tasks < undamaged,
+            "{kind}: resumed {} of {undamaged} tasks from a damaged log",
+            recovered.resumed_tasks
         );
-        assert_bitwise_equal(&reference, &recovered, &format!("{kind}: recomputed run"));
-        let snap = m2td::obs::snapshot();
-        assert_eq!(
-            snap.counter("guard.ckpt_quarantined"),
-            Some(2),
-            "{kind}: both damaged records should be quarantined"
-        );
+        let quarantined = m2td::obs::snapshot().counter("manifest.log_quarantined");
+        if kind == CorruptionKind::Truncate {
+            // A torn tail is dropped; the records before it still resume.
+            assert_eq!(quarantined, None, "{kind}: a torn tail is not damage");
+            assert!(recovered.resumed_tasks > 0, "{kind}: the prefix was lost");
+        } else {
+            // A stale version, or a flipped byte with records after it,
+            // moves the log aside.
+            assert_eq!(
+                quarantined,
+                Some(1),
+                "{kind}: the log should be quarantined"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-#[test]
-fn in_run_corruption_stream_damages_disk_but_never_the_result() {
-    let _l = lock();
-    m2td::obs::install();
-    m2td::obs::reset();
-    let _cleanup = Installed;
-    let (x1, x2) = sub_tensors();
-    let opts = M2tdOptions::default();
-    let engine = MapReduce::new(2);
-    let reference = d_m2td(&x1, &x2, 1, &[3, 3, 3], opts, &engine).unwrap();
-
-    let dir = unique_tmp_dir("m2td_guard_stream");
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = CheckpointStore::new(&dir).unwrap();
-    // Rate 1.0: every checkpoint is damaged immediately after publication
-    // (the post-publish disk-damage model). The writing run holds its
-    // artifacts in memory, so its own result is unaffected.
-    let chaos = FaultConfig {
-        plan: FaultPlan::none().with_ckpt_corrupt_rate(0.999),
-        policy: RetryPolicy::default(),
-    };
-    let first = DistJob {
-        opts,
-        faults: chaos,
-        checkpoint: Some(&store),
-        ..DistJob::new(&x1, &x2, 1, &[3, 3, 3])
-    }
-    .run(&engine)
-    .unwrap();
-    assert_bitwise_equal(&reference, &first, "corrupting run");
-    let injected = m2td::obs::snapshot()
-        .counter("fault.ckpt_corruptions_injected")
-        .unwrap_or(0);
-    assert_eq!(injected, 2, "both phase records should have been damaged");
-
-    // The next run finds damaged records: quarantine, recompute, same bits.
-    let recovered = DistJob {
-        opts,
-        checkpoint: Some(&store),
-        ..DistJob::new(&x1, &x2, 1, &[3, 3, 3])
-    }
-    .run(&engine)
-    .unwrap();
-    assert!(!recovered.phase1.resumed && !recovered.phase2.resumed);
-    assert_bitwise_equal(&reference, &recovered, "recovery run");
-    assert!(
-        m2td::obs::snapshot()
-            .counter("guard.ckpt_quarantined")
-            .unwrap_or(0)
-            >= 2
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
