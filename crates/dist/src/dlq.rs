@@ -2,7 +2,7 @@
 //!
 //! When a reduce task is killed on every attempt its [`RetryPolicy`]
 //! budget allows, a recovery-enabled run no longer aborts: the task's
-//! envelope (identity + serialized input payload), its attempt history,
+//! envelope (identity + input payload), its attempt history,
 //! and the terminal error are **parked** as a [`DlqEntry`] in `dlq.json`
 //! next to the job manifest, and the phase completes degraded where
 //! coverage allows. Operators inspect the queue with `m2td-cli dlq list`,
@@ -46,8 +46,10 @@ pub struct DlqEntry {
     pub log: Vec<String>,
     /// The terminal error, rendered.
     pub error: String,
-    /// The task's input payload, as serialized for transport — enough to
-    /// identify and (in a rerun over the same inputs) re-execute it.
+    /// The task's input payload: its [`crate::wire`] bytes, as shipped
+    /// over the channel, written as lowercase hex (two digits a byte) —
+    /// enough to identify and (in a rerun over the same inputs)
+    /// re-execute it.
     pub payload: String,
     /// Set by `dlq requeue`: the next run re-executes this task instead of
     /// skipping it as dead.
@@ -70,10 +72,21 @@ impl DlqEntry {
             attempts,
             log,
             error,
-            payload: envelope.payload.clone(),
+            payload: hex(&envelope.payload),
             requeued: false,
         }
     }
+}
+
+/// `bytes` as lowercase hex, two digits a byte.
+fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    }
+    out
 }
 
 impl ToJson for DlqEntry {
@@ -244,6 +257,7 @@ impl DlqStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire;
     use m2td_fault::TaskKind;
     use std::path::PathBuf;
 
@@ -255,7 +269,7 @@ mod tests {
     }
 
     fn entry(task: u64) -> DlqEntry {
-        let env = TaskEnvelope::new(3, 3, TaskKind::Reduce, task, 4, format!("[{task}]"));
+        let env = TaskEnvelope::new(3, 3, TaskKind::Reduce, task, 4, wire::encode(&task));
         DlqEntry::from_envelope(
             &env,
             4,
@@ -277,6 +291,7 @@ mod tests {
         let e = &reopened.entries()[0];
         assert_eq!((e.job, e.phase, e.task), (3, 3, 7));
         assert_eq!(e.kind, "reduce");
+        assert_eq!(e.payload, "0700000000000000");
         assert!(!e.requeued);
     }
 

@@ -39,6 +39,7 @@ use crate::manifest::{Fingerprint, ManifestLog, ManifestStore};
 use crate::mapreduce::{JobOutput, JobSpec, MapReduce, ShuffleStats, TaskState, WaveRecovery};
 use crate::scheduler::DeadTask;
 use crate::transport::TaskEnvelope;
+use crate::wire::TaskOutcome;
 use m2td_core::{CoreError, M2tdOptions};
 use m2td_fault::{FaultError, FaultPlan, RetryPolicy, TaskCounters};
 use m2td_json::{FromJson, Json, JsonError, ToJson};
@@ -145,14 +146,6 @@ impl Default for FaultConfig {
     }
 }
 
-/// A reduce task's result as it crosses the transport boundary: either
-/// the value or the rendered error (typed errors do not serialize).
-#[derive(Debug, Clone)]
-enum TaskOutcome<T> {
-    Ok(T),
-    Fail(String),
-}
-
 impl<T> TaskOutcome<T> {
     fn into_result(self) -> Result<T, DistError> {
         match self {
@@ -171,6 +164,7 @@ impl<T> From<Result<T, DistError>> for TaskOutcome<T> {
     }
 }
 
+/// The manifest's form of a recorded outcome: `{"ok": …}` or `{"fail": …}`.
 impl<T: ToJson> ToJson for TaskOutcome<T> {
     fn to_json(&self) -> Json {
         match self {
@@ -1176,6 +1170,39 @@ mod tests {
         assert!(!third.phase1.resumed && third.phase2.resumed);
         assert_eq!(third.phase1.tasks.reduce_attempts, 1);
         assert_eq!(first.tucker.core.as_slice(), third.tucker.core.as_slice());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resumed_runs_record_one_begin_per_phase() {
+        let dir = unique_tmp_dir("m2td_dmtd_begin_unit");
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = ManifestStore::open(&dir).unwrap();
+        let dlq = DlqStore::open(&dir);
+        let (x1, x2) = sub_tensors(6, 5);
+        let ranks = [3, 3, 3];
+        let job = DistJob {
+            recovery: Some(JobRecovery::new(&manifest, &dlq)),
+            ..DistJob::new(&x1, &x2, 1, &ranks)
+        };
+        let engine = MapReduce::new(2);
+        let path = dir.join(ManifestStore::FILE_NAME);
+        let first = job.run(&engine).unwrap();
+        let mut logs = Vec::new();
+        for _ in 0..2 {
+            let again = job.run(&engine).unwrap();
+            assert_eq!(again.tucker.core.as_slice(), first.tucker.core.as_slice());
+            assert!(again.phase1.resumed && again.phase2.resumed);
+            logs.push(std::fs::read_to_string(&path).unwrap());
+        }
+        // Phase 3 re-begins on every resume, with the total the manifest
+        // already holds: that appends no second `begin` record.
+        for phase in 1..=3 {
+            let begin = format!("\"phase\":{phase},\"begin\":");
+            let records = logs[1].lines().filter(|l| l.contains(&begin)).count();
+            assert_eq!(records, 1, "phase {phase} has {records} begin records");
+        }
+        assert_eq!(logs[0], logs[1], "a fully resumed run appended to the log");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -25,7 +25,8 @@
 //! re-execution.
 //!
 //! Sharded execution (DESIGN.md §14): tasks cross a [`ChannelTransport`]
-//! as checksummed [`TaskEnvelope`]s, are scheduled by a work-stealing wave
+//! as checksummed [`TaskEnvelope`]s carrying the fixed-layout bytes of
+//! [`wire`], are scheduled by a work-stealing wave
 //! scheduler, and — with a [`JobRecovery`] — exhausted tasks park in a
 //! [`DlqStore`] dead-letter queue while a [`JobManifest`] records
 //! per-phase completion, so an interrupted run resumes instead of
@@ -39,6 +40,7 @@ mod manifest;
 mod mapreduce;
 mod scheduler;
 mod transport;
+pub mod wire;
 
 pub use cluster::{ClusterModel, PhaseCost};
 pub use dlq::{DlqEntry, DlqStore};

@@ -327,8 +327,18 @@ impl ManifestLog {
         &self.manifest
     }
 
-    /// Records that `phase` schedules `total` reduce tasks.
+    /// Records that `phase` schedules `total` reduce tasks. Appends
+    /// nothing when the manifest already holds that total for the phase
+    /// (a resumed run re-begins the phase it left off in).
     pub fn begin_phase(&mut self, phase: u8, total: u64) -> Result<(), String> {
+        if self
+            .manifest
+            .phases
+            .get(&phase)
+            .is_some_and(|p| p.total == total)
+        {
+            return Ok(());
+        }
         self.record(Event::Begin(phase, total))
     }
 
@@ -549,12 +559,12 @@ mod tests {
     #[test]
     fn phase1_outputs_round_trip() {
         // The deepest document the workspace writes: phase-1 reduce
-        // outputs `{"ok": [κ, grams, factors]}` inside a manifest record.
+        // outputs `{"ok": [grams, factors]}` inside a manifest record.
         let gram = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64 * 0.25);
         let factor = Matrix::from_fn(3, 2, |i, j| (i + j) as f64 - 0.5);
         let output = Json::Obj(vec![(
             "ok".to_string(),
-            (1u8, vec![gram.clone(), gram], vec![factor.clone(), factor]).to_json(),
+            (vec![gram.clone(), gram], vec![factor.clone(), factor]).to_json(),
         )]);
         let store = ManifestStore::open(tmp_dir("phase1")).unwrap();
         let mut log = store.resume(&fp(7)).unwrap();

@@ -685,15 +685,9 @@ impl ToJson for &str {
     }
 }
 
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
-        self.as_slice().to_json()
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
 }
 
@@ -719,29 +713,6 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
             )));
         }
         Ok((A::from_json(&items[0])?, B::from_json(&items[1])?))
-    }
-}
-
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson, C: FromJson> FromJson for (A, B, C) {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let items = json.as_array()?;
-        if items.len() != 3 {
-            return Err(JsonError::Invalid(format!(
-                "expected a 3-element array, found {} elements",
-                items.len()
-            )));
-        }
-        Ok((
-            A::from_json(&items[0])?,
-            B::from_json(&items[1])?,
-            C::from_json(&items[2])?,
-        ))
     }
 }
 
@@ -994,17 +965,6 @@ mod tests {
         let json = rows.to_json();
         let back: Vec<(String, f64)> = FromJson::from_json(&json).unwrap();
         assert_eq!(back, rows);
-    }
-
-    #[test]
-    fn triple_conversions_round_trip() {
-        let cells: Vec<(u8, u64, f64)> = vec![(0, 17, 1.25), (1, u64::MAX >> 11, -0.5)];
-        let json = cells.to_json();
-        let back: Vec<(u8, u64, f64)> = FromJson::from_json(&json).unwrap();
-        assert_eq!(back, cells);
-        // Wrong arity is rejected, not silently truncated.
-        let pair = Json::Arr(vec![Json::Int(1), Json::Int(2)]);
-        assert!(<(u8, u8, u8)>::from_json(&pair).is_err());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Seeded mutation of every decoder of bytes from disk or the wire: the
 //! job manifest log, `dlq.json`, the serve `wal.log` and a snapshot, a
-//! `TaskEnvelope` frame, and `Json::parse`.
+//! `TaskEnvelope` frame, the wire payload of every value a MapReduce job
+//! ships, and `Json::parse`.
 //!
 //! Each artifact takes a few hundred mutations drawn from `crates/rand`:
 //! flip any bit (high bits included), truncate at any offset, delete or
@@ -14,18 +15,25 @@
 //!   (or the file is a clean truncation, indistinguishable from a shorter
 //!   log), and only corrupt history may lose a record whose line is
 //!   still intact;
+//! * a frame decodes to the original envelope or fails;
+//! * a wire payload fails or decodes to exactly the value its bytes
+//!   encode (the codec has no slack: re-encoding gives the mutated bytes
+//!   back). The codec carries no checksum, so a flipped value bit is
+//!   another valid value; the frame checksum is what rejects it;
 //! * nothing panics.
 //!
 //! Every failure message names the seed, round and mutation, so a
 //! failing case replays exactly.
 
 use m2td::core::M2tdOptions;
+use m2td::dist::wire::{self, TaskOutcome, Wire};
 use m2td::dist::{DlqEntry, DlqStore, Fingerprint, JobManifest, ManifestStore, TaskEnvelope};
 use m2td::fault::TaskKind;
 use m2td::guard::integrity::fnv1a64;
 use m2td::json::Json;
+use m2td::linalg::Matrix;
 use m2td::serve::{SnapshotStore, Wal, WalOp};
-use m2td::tensor::SparseTensor;
+use m2td::tensor::{DenseTensor, SparseTensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -235,7 +243,7 @@ fn dlq_entry(task: u64) -> DlqEntry {
         attempts: 4,
         log: vec!["attempt 0: killed by fault plan".to_string()],
         error: "retry budget exhausted".to_string(),
-        payload: format!("[[{task},1.5]]"),
+        payload: format!("{task:016x}000000000000f83f"),
         requeued: false,
     }
 }
@@ -327,23 +335,104 @@ fn snapshot_loads_equal_or_quarantines() {
     });
 }
 
+/// Join cells a phase-3 map task routes: awkward values included.
+fn cells() -> Vec<(u64, f64)> {
+    vec![
+        (0, 1.5),
+        (1 << 63, f64::from_bits(0x7ff8_0000_0000_0001)),
+        (u64::MAX, f64::NEG_INFINITY),
+        (4, -0.0),
+    ]
+}
+
 #[test]
 fn envelope_frames_decode_equal_or_fail() {
-    let envelope = TaskEnvelope::new(
-        3,
-        2,
-        TaskKind::Reduce,
-        17,
-        1,
-        "[[0,4,1.5],[1,9,-0.25],\"é\\n\"]\n{\"k\":[1e-3]}".to_string(),
-    );
-    let frame = envelope.encode().into_bytes();
+    let envelope = TaskEnvelope::new(3, 2, TaskKind::Reduce, 17, 1, wire::encode(&cells()));
+    let frame = envelope.encode();
     for_each_mutation("envelope", &frame, |mutated, ctx| {
-        // The channel hands the receiver lossily decoded text.
-        if let Ok(decoded) = TaskEnvelope::decode(&String::from_utf8_lossy(mutated)) {
+        // The receiver sees the raw bytes the channel carried.
+        if let Ok(decoded) = TaskEnvelope::decode(mutated) {
             assert_eq!(decoded, envelope, "{ctx}: decoded another envelope");
         }
     });
+}
+
+/// Mutates the wire form of `value`: every mutant fails to decode or
+/// decodes to the value its bytes encode, and the payload inside a
+/// mutated frame decodes to `value` or not at all.
+fn payload_decodes_exactly_or_fail<T: Wire>(artifact: &str, value: &T) {
+    let original = wire::encode(value);
+    for_each_mutation(artifact, &original, |mutated, ctx| {
+        if let Ok(decoded) = wire::decode::<T>(mutated) {
+            assert_eq!(wire::encode(&decoded), mutated, "{ctx}: decoded with slack");
+        }
+    });
+    let envelope = TaskEnvelope::new(3, 3, TaskKind::Reduce, 0, 0, original.clone());
+    let frame = envelope.encode();
+    for_each_mutation(&format!("{artifact} frame"), &frame, |mutated, ctx| {
+        let Ok(delivered) = TaskEnvelope::decode(mutated) else {
+            return;
+        };
+        let decoded = wire::decode::<T>(&delivered.payload);
+        let bytes = decoded.map(|v| wire::encode(&v));
+        assert_eq!(
+            bytes.as_ref(),
+            Ok(&original),
+            "{ctx}: decoded another value"
+        );
+    });
+}
+
+#[test]
+fn wire_payloads_decode_equal_or_fail() {
+    // Phase 2's routed runs: (side, free index, value) per pivot.
+    let runs: Vec<Vec<(u8, u64, f64)>> = vec![
+        vec![(1, 7, 0.25), (2, u64::MAX, f64::INFINITY)],
+        vec![],
+        vec![(1, 1 << 63, -0.0)],
+    ];
+    payload_decodes_exactly_or_fail("routed runs", &runs);
+    payload_decodes_exactly_or_fail("partition values", &(5usize, cells()));
+    let gram = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64 * 0.25);
+    let factor = Matrix::from_fn(3, 2, |i, j| (i + j) as f64 - 0.5);
+    let sides = TaskOutcome::Ok((vec![gram.clone(), gram], vec![factor]));
+    payload_decodes_exactly_or_fail("phase-1 outcome", &sides);
+    let fail = TaskOutcome::<(Vec<Matrix>, Vec<Matrix>)>::Fail("core error: é".to_string());
+    payload_decodes_exactly_or_fail("phase-1 failure", &fail);
+    let core = DenseTensor::from_fn(&[2, 3, 2], |i| (i[0] * 6 + i[1] * 2 + i[2]) as f64 - 5.5);
+    payload_decodes_exactly_or_fail("phase-3 outcome", &TaskOutcome::Ok(core));
+}
+
+#[test]
+fn wire_lengths_beyond_the_payload_are_rejected_unreserved() {
+    // A count of u64::MAX, and one of more elements than the bytes that
+    // remain could hold: reserving either would abort the process.
+    for count in [u64::MAX, 1 << 40] {
+        let mut bytes = wire::encode(&count);
+        bytes.extend_from_slice(&wire::encode(&cells())[8..]);
+        assert!(
+            wire::decode::<Vec<(u64, f64)>>(&bytes).is_err(),
+            "count {count}"
+        );
+        assert!(
+            wire::decode::<Vec<Vec<u8>>>(&bytes).is_err(),
+            "count {count}"
+        );
+        let routed = wire::decode::<(usize, Vec<(u64, f64)>)>(&[&[0; 8][..], &bytes].concat());
+        assert!(routed.is_err(), "count {count}");
+    }
+    // One element more than the cells that follow.
+    let mut bytes = wire::encode(&cells());
+    bytes[..8].copy_from_slice(&(cells().len() as u64 + 1).to_le_bytes());
+    assert!(wire::decode::<Vec<(u64, f64)>>(&bytes).is_err());
+    // A string as long as the payload claims; a 2^32 x 2^32 matrix, whose
+    // element count overflows; a tensor whose zero extent does not excuse
+    // an overflowing stride.
+    assert!(wire::decode::<String>(&[&wire::encode(&u64::MAX)[..], b"abc"].concat()).is_err());
+    let matrix = [&wire::encode(&(1u64 << 32, 1u64 << 32))[..], &[0; 64]].concat();
+    assert!(wire::decode::<Matrix>(&matrix).is_err());
+    let tensor = [&wire::encode(&vec![0usize, 1 << 40, 1 << 40])[..], &[0; 64]].concat();
+    assert!(wire::decode::<DenseTensor>(&tensor).is_err());
 }
 
 #[test]
