@@ -320,12 +320,16 @@ impl<'a, T> UnsafeSlice<'a, T> {
     }
 }
 
-/// Spawns `min(n, max_threads())` workers all running `f` until it
-/// returns, then joins them. `f` typically pulls work items off a shared
-/// queue; with one worker it simply runs inline.
+/// Runs `f` on `min(n, max_threads())` workers until each call returns:
+/// the calling thread is one of them and the rest are spawned, then
+/// joined. `f` typically pulls work items off a shared queue; with one
+/// worker it simply runs inline.
 ///
 /// This is the primitive `m2td-dist`'s MapReduce engine drains its task
-/// queues with.
+/// queues with. The caller works rather than waits: a D-M2TD job runs
+/// six such waves in about 20 ms, and each spawned worker costs the wave
+/// a thread start and a wake-up of an idle core, which a busy host
+/// delays.
 pub fn run_workers<F>(n: usize, f: F)
 where
     F: Fn() + Sync,
@@ -336,9 +340,10 @@ where
         return;
     }
     std::thread::scope(|s| {
-        for _ in 0..workers {
+        for _ in 1..workers {
             s.spawn(&f);
         }
+        f();
     });
 }
 
